@@ -1,11 +1,9 @@
-"""Timing comparison of the hot kernels: numba @njit vs pure-numpy fallback.
+"""Timings of the two solver kernels on fixed seeded instances.
 
 Run:  python benchmarks/bench_kernels.py
 
-Times the unital-bound solver and the local-unitary ascent on fixed seeded
-instances under both backends (the numba variant is compiled and warmed
-before timing).  With ERGOLOC_BACKEND unset the package picks numba when
-importable; this script times both explicitly.
+Times the local-unitary ascent and the unital-bound solver, both on the
+cost operator C of sdp.choi_cost, best of five warm runs each.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import time
 import numpy as np
 
 from ergoloc import gpo, kernels, qmat, sdp
-from ergoloc.backend import HAS_NUMBA
 
 
 def _random_system(d_s, d_e, seed):
@@ -42,46 +39,40 @@ def _time(fn, repeats):
     return best
 
 
-def bench_ascent(backend, repeats=5):
+def bench_ascent(repeats=5):
     system = _random_system(2, 6, seed=7)
-    h = system.total_hamiltonian()
+    c = sdp.choi_cost(system).c
+    e0 = float(np.trace(system.rho @ system.total_hamiltonian()).real)
     u0 = qmat.haar_unitary(2, np.random.default_rng(1))
 
     def run():
-        kernels.ascent_kernel(system.rho, h, u0, 2, 6, 5000, 1e-9, backend=backend)
+        kernels.ascent_kernel(c, e0, u0, 5000, 1e-9)
 
-    run()  # warm (compiles under numba)
+    run()
     return _time(run, repeats)
 
 
-def bench_admm(backend, d_s, repeats=5):
+def bench_admm(d_s, repeats=5):
     system = _random_system(d_s, 3, seed=11)
     cost = sdp.choi_cost(system)
 
     def run():
-        kernels.admm_kernel(cost.c, d_s, tol=1e-7, backend=backend)
+        kernels.admm_kernel(cost.c, d_s, 1e-7, 200000)
 
     run()
     return _time(run, repeats)
 
 
 def main():
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    rows = []
-    for backend in backends:
-        rows.append(("ascent 2x6", backend, bench_ascent(backend)))
-        rows.append(("admm d_s=2", backend, bench_admm(backend, 2)))
-        rows.append(("admm d_s=3", backend, bench_admm(backend, 3)))
+    rows = [
+        ("ascent 2x6", bench_ascent()),
+        ("admm d_s=2", bench_admm(2)),
+        ("admm d_s=3", bench_admm(3)),
+    ]
     width = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{width}}  backend  best wall time")
-    for name, backend, t in rows:
-        print(f"{name:<{width}}  {backend:<7}  {t * 1e3:9.3f} ms")
-    if HAS_NUMBA:
-        print()
-        for name in dict.fromkeys(r[0] for r in rows):
-            t_np = next(t for n, b, t in rows if n == name and b == "numpy")
-            t_nb = next(t for n, b, t in rows if n == name and b == "numba")
-            print(f"{name:<{width}}  speedup x{t_np / t_nb:.1f}")
+    print(f"{'kernel':<{width}}  best wall time")
+    for name, t in rows:
+        print(f"{name:<{width}}  {t * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

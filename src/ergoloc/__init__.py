@@ -8,7 +8,6 @@ plus builders for two worked models: an atom-cavity pair and an anisotropic
 spin ring.
 """
 
-from .backend import backend_name
 from .ergotropy import (
     ErgotropyReport,
     classical_ergotropy,
@@ -88,3 +87,8 @@ from .sdp import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the numerical backend; numpy is the only one."""
+    return "numpy"

@@ -3,22 +3,19 @@
 Verbs: global, local, jc, xxz, export-sdp, selftest.  Matrices travel as the
 JSON format documented in qmat.  Angles accept a "pi" suffix (0.4pi); sweeps
 are start:stop:steps with the same suffix rules.  Exit codes: 0 success,
-2 input error, 3 numerical non-convergence.  ERGOLOC_THREADS caps the sweep
-worker pool; every command is deterministic for a fixed --seed.
+2 input error, 3 numerical non-convergence.  Sweeps compute their rows one
+after another; every command is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import ergotropy, gpo, local, models, qmat, sdp
-from .backend import backend_name
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -63,19 +60,6 @@ def _load_matrix(path: str) -> np.ndarray:
         raise InputError(f"no such file: {path}") from exc
     except (ValueError, json.JSONDecodeError, TypeError) as exc:
         raise InputError(f"cannot parse matrix file {path}: {exc}") from exc
-
-
-def _n_workers() -> int:
-    env = os.environ.get("ERGOLOC_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise InputError(f"ERGOLOC_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise InputError("ERGOLOC_THREADS must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -198,8 +182,7 @@ def cmd_local(args) -> int:
     return EXIT_OK
 
 
-def _jc_row(params_state):
-    p, phi, alpha, n, dynamical = params_state
+def _jc_row(p, phi, alpha, n, dynamical):
     phase = phi
     if dynamical:
         _, e_plus = models.jc_dressed_state(p, n, +1)
@@ -224,9 +207,7 @@ def cmd_jc(args) -> int:
         raise InputError(str(exc)) from exc
     alpha = _parse_angle(args.alpha)
     phis = _parse_sweep(args.sweep_phi)
-    tasks = [(p, float(phi), alpha, args.n, args.dynamical_phase) for phi in phis]
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        rows = list(pool.map(_jc_row, tasks))
+    rows = [_jc_row(p, float(phi), alpha, args.n, args.dynamical_phase) for phi in phis]
     lines = ["phi,local_ergotropy,switch_off,delta_off"]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -234,8 +215,7 @@ def cmd_jc(args) -> int:
     return EXIT_OK
 
 
-def _xxz_row(args_k):
-    p, k = args_k
+def _xxz_row(p, k):
     psi = models.xxz_bethe_state(p, k)
     system = models.xxz_bipartite(p, psi)
     e_k = models.xxz_bethe_energy(p, k)
@@ -282,8 +262,7 @@ def cmd_xxz(args) -> int:
     for k in ks:
         if not (-(args.sites // 2) < k <= args.sites // 2):
             raise InputError(f"k={k} out of range for N={args.sites}")
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        rows = list(pool.map(_xxz_row, [(p, k) for k in ks]))
+    rows = [_xxz_row(p, k) for k in ks]
     if args.format == "json":
         _emit(_json_dumps({"n_sites": args.sites, "rows": rows}), args.output)
     else:
@@ -379,7 +358,6 @@ def cmd_selftest(args) -> int:
         if note and not ok:
             line += f"  ({note})"
         sys.stdout.write(line + "\n")
-    sys.stdout.write(f"backend: {backend_name()}\n")
     return EXIT_OK if all_ok else EXIT_NUMERIC
 
 

@@ -172,7 +172,7 @@ def classical_local_ergotropy(p: np.ndarray, e: np.ndarray) -> tuple[float, np.n
 
 def delta_off(system) -> float:
     """Energy cost of quenching the coupling: -Tr[rho V]."""
-    return float(-np.trace(system.rho @ system.v).real)
+    return float(-np.sum(system.rho * system.v.T).real)
 
 
 def switch_off_ergotropy(system) -> float:

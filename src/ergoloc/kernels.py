@@ -1,201 +1,168 @@
-"""Hot numerical loops, written once in a numba-compilable numpy subset.
+"""The two iterative solvers, in plain numpy on the cost operator C.
 
-Two kernels dominate runtime: the operator-splitting solver for the unital-
-channel bound (one Hermitian eigendecomposition per iteration) and the
-Riemannian ascent over local unitaries (a few dense products per line-search
-trial).  Both are compiled with @njit under the numba backend and run as
-plain Python under ERGOLOC_BACKEND=numpy; results agree to float precision.
+Both work on the d_S^2 x d_S^2 Hermitian cost operator C of sdp.choi_cost,
+so their cost per iteration does not depend on d_E.  For a local unitary U,
+with vec(U) = U.T.ravel(),
 
-Constraints imposed by nopython mode: inputs must be C-contiguous
-complex128, helper logic is inlined (no closures), traces and partial traces
-are explicit loops, and matmul operands are made contiguous before use.
+    Tr[H (rho - (U x I) rho (U x I)†)] = Tr[H rho] - vec(U)† C vec(U),
+
+which the Riemannian ascent over U(d_S) maximises; the operator-splitting
+solver minimises Tr[C E] over the unital bimarginal set that relaxes the
+unitary orbit.  Operators on S x S' are indexed (a, s) with a the input-copy
+factor, so W.reshape(d, d, d, d)[a, s, b, t] = W[(a, s), (b, t)].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import HAS_NUMBA, USE_NUMBA, jit_if_available
+# ascent line search: Armijo constant, step growth after an accepted step,
+# step shrink per rejected trial, trials before declaring a stall
+C1 = 1e-4
+GROW = 1.3
+SHRINK = 0.5
+MAX_BACKTRACKS = 60
+# steps between QR re-unitarizations, which stop drift from accumulated products
+REUNITARIZE_EVERY = 256
+
+# operator splitting: initial penalty, over-relaxation, iterations between
+# penalty adaptations
+MU0 = 1.0
+ALPHA = 1.6
+ADAPT_EVERY = 50
 
 
-def _ascent_kernel(rho, h, u0, d_s, d_e, max_iter, gtol, c1, grow, shrink,
-                   max_backtracks, fixed_step):
-    """Maximise W(U) = Tr[H (rho - (UxI) rho (UxI)†)] over U in U(d_s).
+def _herm(a):
+    return (a + a.conj().T) / 2.0
 
-    Geodesic steepest ascent: at the current U the gradient direction is the
-    Hermitian S = (Q - Q†)/(2i) with Q = U Tr_E[rho (U†xI) H], and the update
-    is U <- expm(i eta S) U.  dW/deta at 0 equals 2 ||S||_F^2, which drives
-    the Armijo test.  fixed_step > 0 disables backtracking and uses that
-    step length throughout.
+
+def _value_and_gradient(c, e0, u):
+    """W(U) and the Hermitian S with dW(expm(i t D) U)/dt = 2 Tr[S D] at 0.
+
+    With G[s, a] = (C vec U)[(a, s)], the quadratic form is Tr[Q] for
+    Q = U G†, and S = (Q - Q†)/(2i).
+    """
+    d = u.shape[0]
+    q = u @ (c @ u.T.ravel()).reshape(d, d).conj()
+    grad = (q - q.conj().T) / 2j
+    return e0 - np.trace(q).real, grad, np.linalg.norm(grad)
+
+
+def ascent_kernel(c, e0, u0, max_iter, gtol):
+    """Maximise W(U) = e0 - vec(U)† C vec(U) over U in U(d_S), from u0.
+
+    Geodesic steepest ascent: the update is U <- expm(i eta S) U with S the
+    Riemannian gradient, and dW/deta at 0 equals 2 ||S||_F^2, which drives
+    the Armijo test.  e0 is Tr[H rho].
 
     Returns (U, value, grad_norm, iterations, status) with status 0 when the
     gradient tolerance was reached, 1 when the line search stalled at
     numerical precision, 2 at the iteration cap.
     """
-    n = d_s * d_e
-    h2 = h.reshape(d_s, d_e * n)
-    m0 = rho @ h
-    e0 = 0.0
-    for i in range(n):
-        e0 += m0[i, i].real
-
-    u = u0.copy()
-    step = 1.0 if fixed_step <= 0.0 else fixed_step
+    u = np.array(u0, dtype=np.complex128)
+    step = 1.0
     status = 2
     it = 0
-    wval = 0.0
-    gnorm = 0.0
     for it in range(max_iter):
-        uh = np.ascontiguousarray(u.conj().T)
-        t1 = (uh @ h2).reshape(n, n)
-        m1 = rho @ t1
-        p = np.zeros((d_s, d_s), dtype=np.complex128)
-        for a in range(d_s):
-            for s in range(d_s):
-                acc = 0.0 + 0.0j
-                for e in range(d_e):
-                    acc += m1[a * d_e + e, s * d_e + e]
-                p[a, s] = acc
-        q = u @ p
-        f = 0.0
-        for i in range(d_s):
-            f += q[i, i].real
-        wval = e0 - f
-        grad = (q - np.ascontiguousarray(q.conj().T)) / 2j
-        gnorm = np.sqrt(np.sum(np.abs(grad) ** 2))
+        wval, grad, gnorm = _value_and_gradient(c, e0, u)
         if gnorm <= gtol:
             status = 0
             break
-
         wg, vg = np.linalg.eigh(grad)
-        vgh = np.ascontiguousarray(vg.conj().T)
         slope = 2.0 * gnorm * gnorm
         eta = step
-        accepted = False
-        for _bt in range(max_backtracks):
-            phase = np.exp(1j * eta * wg)
-            unew = ((vg * phase) @ vgh) @ u
-            t2 = (np.ascontiguousarray(unew.conj().T) @ h2).reshape(n, n)
-            m2 = rho @ t2
-            f2c = 0.0 + 0.0j
-            for s in range(d_s):
-                for b in range(d_s):
-                    acc = 0.0 + 0.0j
-                    for e in range(d_e):
-                        acc += m2[b * d_e + e, s * d_e + e]
-                    f2c += unew[s, b] * acc
-            wnew = e0 - f2c.real
-            if wnew >= wval + c1 * eta * slope or fixed_step > 0.0:
+        for _ in range(MAX_BACKTRACKS):
+            unew = ((vg * np.exp(1j * eta * wg)) @ vg.conj().T) @ u
+            x = unew.T.ravel()
+            if e0 - np.vdot(x, c @ x).real >= wval + C1 * eta * slope:
                 u = unew
-                wval = wnew
-                if fixed_step <= 0.0:
-                    step = eta * grow
-                accepted = True
+                step = eta * GROW
                 break
-            eta *= shrink
-        if not accepted:
+            eta *= SHRINK
+        else:
             status = 1
             break
-        if (it + 1) % 256 == 0:
-            # re-unitarize to stop drift from accumulated products
+        if (it + 1) % REUNITARIZE_EVERY == 0:
             qq, rr = np.linalg.qr(u)
-            ph = np.empty(d_s, dtype=np.complex128)
-            for i in range(d_s):
-                ph[i] = rr[i, i] / abs(rr[i, i])
-            u = qq * ph
-
+            diag = np.diagonal(rr)
+            u = qq * (diag / np.abs(diag))
     # final consistent evaluation at the returned point
-    uh = np.ascontiguousarray(u.conj().T)
-    t1 = (uh @ h2).reshape(n, n)
-    m1 = rho @ t1
-    p = np.zeros((d_s, d_s), dtype=np.complex128)
-    for a in range(d_s):
-        for s in range(d_s):
-            acc = 0.0 + 0.0j
-            for e in range(d_e):
-                acc += m1[a * d_e + e, s * d_e + e]
-            p[a, s] = acc
-    q = u @ p
-    f = 0.0
-    for i in range(d_s):
-        f += q[i, i].real
-    wval = e0 - f
-    grad = (q - np.ascontiguousarray(q.conj().T)) / 2j
-    gnorm = np.sqrt(np.sum(np.abs(grad) ** 2))
+    wval, _, gnorm = _value_and_gradient(c, e0, u)
     return u, wval, gnorm, it + 1, status
 
 
-def _admm_kernel(c, d, mu0, alpha, tol, max_iter, adapt_every):
+def _marginals(w, d):
+    """(Tr_S W, Tr_S' W): trace out the input copy, then the output copy."""
+    w4 = w.reshape(d, d, d, d)
+    return np.einsum("asat->st", w4), np.einsum("asbs->ab", w4)
+
+
+def _minus_marginal_terms(w, l1, l2, d):
+    """W - I x L1 - L2 x I."""
+    eye = np.eye(d)
+    w4 = (
+        w.reshape(d, d, d, d)
+        - eye[:, None, :, None] * l1[None, :, None, :]
+        - l2[:, None, :, None] * eye[None, :, None, :]
+    )
+    return w4.reshape(d * d, d * d)
+
+
+def _dual_value(c, y, mu, d):
+    """Feasible dual value from the scaled dual iterate.
+
+    Decompose C/mu + Y over {I x G1 + G2 x I} (least squares, closed form),
+    scale by mu, then shift both multipliers by half the most negative
+    eigenvalue of the slack so the dual constraint C - I x L1 - L2 x I >= 0
+    holds exactly.
+    """
+    w2 = _herm(c / mu + y)
+    a2, b2 = _marginals(w2, d)
+    off = np.trace(w2).real / (2.0 * d * d) * np.eye(d)
+    l1 = mu * (a2 / d - off)
+    l2 = mu * (b2 / d - off)
+    lam_min = np.linalg.eigvalsh(_herm(_minus_marginal_terms(c, l1, l2, d)))[0]
+    return np.trace(l1).real + np.trace(l2).real + d * min(lam_min, 0.0)
+
+
+def admm_kernel(c, d, tol, max_iter):
     """min Tr[C E] over E >= 0, Tr_S E = I, Tr_S' E = I (operator splitting).
 
-    Scaled-dual ADMM with over-relaxation alpha and adaptive penalty.  The
-    affine projection onto the bimarginal subspace is closed form; the PSD
+    Scaled-dual ADMM with over-relaxation and adaptive penalty.  The affine
+    projection onto the bimarginal subspace is closed form; the PSD
     projection is one Hermitian eigendecomposition.  The scaled dual stays
     negative semidefinite by construction, which yields a feasible dual point
     (and hence a certified duality gap) at any iterate.
 
     Returns (E, objective, primal_res, dual_res, iterations, dual_value).
     """
+    c = np.asarray(c, dtype=np.complex128)
     nn = d * d
-    x = np.eye(nn, dtype=np.complex128) / d
-    z = x.copy()
+    eye = np.eye(d)
+    z = np.eye(nn, dtype=np.complex128) / d
     y = np.zeros((nn, nn), dtype=np.complex128)
-    mu = mu0
-    rp = np.inf
-    rd = np.inf
+    mu = MU0
+    rp = rd = np.inf
     it = 0
     for it in range(max_iter):
         # --- affine step: x = proj(z - y - c/mu) onto both-marginals-identity
-        w = z - y - c / mu
-        w = (w + np.ascontiguousarray(w.conj().T)) / 2.0
-        trs = np.zeros((d, d), dtype=np.complex128)
-        trsp = np.zeros((d, d), dtype=np.complex128)
-        for a in range(d):
-            trs += w[a * d:(a + 1) * d, a * d:(a + 1) * d]
-        for a in range(d):
-            for b in range(d):
-                acc = 0.0 + 0.0j
-                for s in range(d):
-                    acc += w[a * d + s, b * d + s]
-                trsp[a, b] = acc
-        tra = 0.0
-        trb = 0.0
-        for i in range(d):
-            tra += trs[i, i].real - 1.0
-            trb += trsp[i, i].real - 1.0
-        tbar = 0.5 * (tra + trb)
-        lam1 = trs.copy()
-        lam2 = trsp.copy()
-        for i in range(d):
-            lam1[i, i] -= 1.0 + tra / d
-            lam2[i, i] -= 1.0 + trb / d
-        lam1 /= d
-        lam2 /= d
-        off = tbar / (2.0 * d * d)
-        for i in range(d):
-            lam1[i, i] += off
-            lam2[i, i] += off
-        x = w.copy()
-        for a in range(d):
-            x[a * d:(a + 1) * d, a * d:(a + 1) * d] -= lam1
-        for a in range(d):
-            for b in range(d):
-                lab = lam2[a, b]
-                for s in range(d):
-                    x[a * d + s, b * d + s] -= lab
+        w = _herm(z - y - c / mu)
+        trs, trsp = _marginals(w, d)
+        tra = np.sum(trs.diagonal().real - 1.0)
+        trb = np.sum(trsp.diagonal().real - 1.0)
+        off = 0.5 * (tra + trb) / (2.0 * d * d) * eye
+        lam1 = (trs - (1.0 + tra / d) * eye) / d + off
+        lam2 = (trsp - (1.0 + trb / d) * eye) / d + off
+        x = _minus_marginal_terms(w, lam1, lam2, d)
         # --- over-relaxation, PSD step, dual step
-        xr = alpha * x + (1.0 - alpha) * z
-        v = xr + y
-        v = (v + np.ascontiguousarray(v.conj().T)) / 2.0
-        wv, qv = np.linalg.eigh(v)
-        wc = np.maximum(wv, 0.0)
-        zn = (qv * wc) @ np.ascontiguousarray(qv.conj().T)
-        zn = (zn + np.ascontiguousarray(zn.conj().T)) / 2.0
+        xr = ALPHA * x + (1.0 - ALPHA) * z
+        wv, qv = np.linalg.eigh(_herm(xr + y))
+        zn = _herm((qv * np.maximum(wv, 0.0)) @ qv.conj().T)
         y = y + xr - zn
-        rp = np.sqrt(np.sum(np.abs(x - zn) ** 2))
-        rd = mu * np.sqrt(np.sum(np.abs(zn - z) ** 2))
+        rp = np.linalg.norm(x - zn)
+        rd = mu * np.linalg.norm(zn - z)
         z = zn
-        if (it + 1) % adapt_every == 0:
+        if (it + 1) % ADAPT_EVERY == 0:
             if rp > 10.0 * rd:
                 mu *= 2.0
                 y /= 2.0
@@ -204,114 +171,8 @@ def _admm_kernel(c, d, mu0, alpha, tol, max_iter, adapt_every):
                 y *= 2.0
         if rp <= tol and rd <= tol:
             # certify with the duality gap before stopping
-            pobj = 0.0
-            cz = c @ z
-            for i in range(nn):
-                pobj += cz[i, i].real
-            dual = _dual_value_inline(c, y, mu, d)
+            pobj = np.sum(c * z.T).real
+            dual = _dual_value(c, y, mu, d)
             if abs(pobj - dual) <= 10.0 * tol:
                 return z, pobj, rp, rd, it + 1, dual
-    pobj = 0.0
-    cz = c @ z
-    for i in range(nn):
-        pobj += cz[i, i].real
-    dual = _dual_value_inline(c, y, mu, d)
-    return z, pobj, rp, rd, it + 1, dual
-
-
-def _dual_value_inline(c, y, mu, d):
-    """Feasible dual value from the scaled dual iterate.
-
-    Decompose C/mu + Y over {I x G1 + G2 x I} (least squares, closed form),
-    scale by mu, then shift both multipliers by half the most negative
-    eigenvalue of the slack so the dual constraint C - I x L1 - L2 x I >= 0
-    holds exactly.
-    """
-    nn = d * d
-    w2 = c / mu + y
-    w2 = (w2 + np.ascontiguousarray(w2.conj().T)) / 2.0
-    a2 = np.zeros((d, d), dtype=np.complex128)
-    b2 = np.zeros((d, d), dtype=np.complex128)
-    for a in range(d):
-        a2 += w2[a * d:(a + 1) * d, a * d:(a + 1) * d]
-    for a in range(d):
-        for b in range(d):
-            acc = 0.0 + 0.0j
-            for s in range(d):
-                acc += w2[a * d + s, b * d + s]
-            b2[a, b] = acc
-    trw = 0.0
-    for i in range(nn):
-        trw += w2[i, i].real
-    g1 = a2 / d
-    g2 = b2 / d
-    off = trw / (2.0 * d * d)
-    for i in range(d):
-        g1[i, i] -= off
-        g2[i, i] -= off
-    l1 = mu * g1
-    l2 = mu * g2
-    slack = c.copy()
-    for a in range(d):
-        slack[a * d:(a + 1) * d, a * d:(a + 1) * d] -= l1
-    for a in range(d):
-        for b in range(d):
-            lab = l2[a, b]
-            for s in range(d):
-                slack[a * d + s, b * d + s] -= lab
-    slack = (slack + np.ascontiguousarray(slack.conj().T)) / 2.0
-    ws, _ = np.linalg.eigh(slack)
-    lam_min = ws[0]
-    dual = 0.0
-    for i in range(d):
-        dual += l1[i, i].real + l2[i, i].real
-    if lam_min < 0.0:
-        dual += d * lam_min
-    return dual
-
-
-if HAS_NUMBA:
-    # the solver calls the dual-value helper by global name, so the helper
-    # must already be a numba dispatcher when the solver compiles
-    _dual_value_inline = jit_if_available(_dual_value_inline)
-    _ascent_jit = jit_if_available(_ascent_kernel)
-    _admm_jit = jit_if_available(_admm_kernel)
-else:  # pragma: no cover
-    _ascent_jit = None
-    _admm_jit = None
-
-
-def _select(jitted, plain, backend):
-    if backend is None:
-        return jitted if USE_NUMBA else plain
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return jitted
-    if backend == "numpy":
-        return plain
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def ascent_kernel(rho, h, u0, d_s, d_e, max_iter, gtol, c1=1e-4, grow=1.3,
-                  shrink=0.5, max_backtracks=60, fixed_step=0.0, backend=None):
-    """Dispatch the unitary-ascent kernel to the selected backend."""
-    impl = _select(_ascent_jit, _ascent_kernel, backend)
-    return impl(
-        np.ascontiguousarray(rho, dtype=np.complex128),
-        np.ascontiguousarray(h, dtype=np.complex128),
-        np.ascontiguousarray(u0, dtype=np.complex128),
-        int(d_s), int(d_e), int(max_iter), float(gtol), float(c1),
-        float(grow), float(shrink), int(max_backtracks), float(fixed_step),
-    )
-
-
-def admm_kernel(c, d, mu0=1.0, alpha=1.6, tol=1e-7, max_iter=200000,
-                adapt_every=50, backend=None):
-    """Dispatch the unital-bound solver to the selected backend."""
-    impl = _select(_admm_jit, _admm_kernel, backend)
-    return impl(
-        np.ascontiguousarray(c, dtype=np.complex128),
-        int(d), float(mu0), float(alpha), float(tol), int(max_iter),
-        int(adapt_every),
-    )
+    return z, np.sum(c * z.T).real, rp, rd, it + 1, _dual_value(c, y, mu, d)

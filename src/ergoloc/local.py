@@ -8,7 +8,8 @@ with rho_E^(i) = Tr_S[(s^i x I) rho] and V_E^(k) = Tr_S[(s^k x I) V]: in
 Bloch form the objective is Tr[O_U M - M] over the orthogonal images O_U.
 For a qubit S the image set is all of SO(3) and a polar decomposition gives
 the exact optimum; for d_S >= 3 the same expression over SO(d_S^2-1) is an
-upper bound and the optimum is found by gradient ascent with restarts.
+upper bound and the optimum is found by gradient ascent with restarts on
+the d_S^2-square cost operator of sdp.choi_cost.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from . import kernels
+from . import kernels, sdp
 from .ergotropy import ErgotropyReport, global_ergotropy
 from .gpo import BlochDecomposition, GpoBasis, gpo_basis, orthogonal_image
 from .qmat import haar_unitary, tensor_product
@@ -32,7 +33,6 @@ __all__ = [
     "polar_upper_bound",
     "optimize_local_unitary",
     "local_objective",
-    "objective_and_gradient",
     "rotation_to_qubit_unitary",
 ]
 
@@ -52,8 +52,6 @@ class OptimizerConfig:
     restarts: int = 32
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-9
-    step_rule: str = "backtracking"  # or "fixed"
-    fixed_step: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +59,6 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError("step_rule must be 'fixed' or 'backtracking'")
 
 
 def build_m_matrix(system, basis: GpoBasis | None = None) -> MMatrix:
@@ -100,25 +96,6 @@ def local_objective(system, u) -> float:
     h = system.total_hamiltonian()
     rotated = w @ system.rho @ w.conj().T
     return float(np.trace(h @ (system.rho - rotated)).real)
-
-
-def objective_and_gradient(system, u):
-    """Objective W(U) and its Riemannian gradient S at U.
-
-    S is Hermitian; for any Hermitian direction D the derivative of
-    W(expm(i t D) U) at t=0 equals 2 Tr[S D].
-    """
-    d_s, d_e = system.d_s, system.d_e
-    n = d_s * d_e
-    h = system.total_hamiltonian()
-    t1 = (np.ascontiguousarray(u.conj().T) @ h.reshape(d_s, d_e * n)).reshape(n, n)
-    m1 = system.rho @ t1
-    p = np.einsum("aebe->ab", m1.reshape(d_s, d_e, d_s, d_e))
-    q = u @ p
-    e0 = float(np.trace(system.rho @ h).real)
-    value = e0 - float(np.trace(q).real)
-    grad = (q - q.conj().T) / 2j
-    return value, (grad + grad.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +178,35 @@ def optimize_local_unitary(system, cfg: OptimizerConfig | None = None) -> Ergotr
     (the free-case optimal unitary of rho_S under h_s), and Haar-random
     unitaries drawn from the seeded generator, cfg.restarts in total.
     Restarts are independent; the result is their pure maximum, deterministic
-    for a fixed (seed, restarts) pair.
+    for a fixed (seed, restarts) pair.  Every restart runs on the cost
+    operator C, built once per call.
     """
     cfg = cfg or OptimizerConfig()
     d_s, d_e = system.d_s, system.d_e
     if d_s * d_e > 4096:
         raise ValueError("dense optimization limited to joint dimension <= 4096")
     rng = np.random.default_rng(cfg.seed)
-    h = system.total_hamiltonian()
     starts = [np.eye(d_s, dtype=np.complex128)]
     if cfg.restarts >= 2:
         starts.append(global_ergotropy(system.rho_s(), system.h_s).optimal_unitary)
     while len(starts) < cfg.restarts:
         starts.append(haar_unitary(d_s, rng))
-    fixed = cfg.fixed_step if cfg.step_rule == "fixed" else 0.0
+    c = sdp.choi_cost(system).c
+    # W(I) = 0, so Tr[H rho] = vec(I)† C vec(I)
+    e0 = float(np.einsum("aabb->", c.reshape(d_s, d_s, d_s, d_s)).real)
 
     best = None
-    statuses = []
     total_iters = 0
     for u0 in starts:
         u, value, gnorm, iters, status = kernels.ascent_kernel(
-            system.rho, h, u0, d_s, d_e, cfg.max_iterations,
-            cfg.gradient_tolerance, fixed_step=fixed,
+            c, e0, u0, cfg.max_iterations, cfg.gradient_tolerance
         )
         total_iters += iters
-        statuses.append(status)
         if best is None or value > best[0] + 1e-12:
             best = (value, u, gnorm, status)
     value, u, gnorm, status = best
-    # a stalled line search at float precision still counts as converged;
-    # only hitting the iteration cap with a live gradient does not
-    converged = status in (0, 1) or gnorm <= max(cfg.gradient_tolerance, 1e-7)
+    # a stalled line search counts only when the gradient is small as well
+    converged = status == 0 or gnorm <= max(cfg.gradient_tolerance, 1e-7)
     return ErgotropyReport(
         value=float(value),
         optimal_unitary=u,

@@ -108,8 +108,6 @@ def sdp_upper_bound(
     rho_energy: float,
     tol: float = 1e-7,
     max_iterations: int = 200000,
-    over_relaxation: float = 1.6,
-    backend: str | None = None,
 ) -> tuple[float, SdpSolution]:
     """Upper bound rho_energy - min Tr[C E] over the unital bimarginal set.
 
@@ -123,8 +121,7 @@ def sdp_upper_bound(
     if tol <= 0:
         raise ValueError("tol must be positive")
     e, pobj, rp, rd, iters, dual = kernels.admm_kernel(
-        cost.c, cost.d_s, alpha=over_relaxation, tol=tol,
-        max_iter=max_iterations, backend=backend,
+        cost.c, cost.d_s, tol, max_iterations
     )
     sol = SdpSolution(
         e=e,

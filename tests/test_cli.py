@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergoloc import local, models, qmat, sdp
+from ergoloc import kernels, local, models, qmat, sdp
 from ergoloc.cli import main
 from helpers import random_system
 
@@ -274,11 +274,20 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_threads_env_respected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ERGOLOC_THREADS", "2")
-    out_file = tmp_path / "t.csv"
-    code, _, _ = run_cli(capsys, "jc", "--sweep-phi", "0:pi:8", "-o", str(out_file))
-    assert code == 0
-    monkeypatch.setenv("ERGOLOC_THREADS", "zero")
-    code, _, _ = run_cli(capsys, "jc", "--sweep-phi", "0:pi:8", "-o", str(out_file))
-    assert code == 2
+def test_optimizer_stall_with_live_gradient_exits_numeric(tmp_path, capsys, monkeypatch):
+    # a line-search stall (status 1) far from a critical point is not
+    # convergence: the report says so and the verb exits 3
+    def stalled(c, e0, u0, max_iter, gtol):
+        return u0, 0.0, 1e-3, 10, 1
+
+    monkeypatch.setattr(kernels, "ascent_kernel", stalled)
+    system = random_system(2, 2, np.random.default_rng(9))
+    rep = local.optimize_local_unitary(system, local.OptimizerConfig(restarts=2))
+    assert rep.diagnostics["converged"] is False
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    code, out, _ = run_cli(
+        capsys, "local", "--state", state_f, "--hs", hs_f, "--v", v_f,
+        "--ds", "2", "--de", "2", "--method", "optimize",
+    )
+    assert code == 3
+    assert json.loads(out)["details"]["optimize"]["converged"] is False
