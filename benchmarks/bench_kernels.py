@@ -1,9 +1,11 @@
-"""Timings of the two solver kernels on fixed seeded instances.
+"""Timings of the two solver kernels and the batched jc sweep.
 
 Run:  python benchmarks/bench_kernels.py
 
 Times the local-unitary ascent and the unital-bound solver, both on the
-cost operator C of sdp.choi_cost, best of five warm runs each.
+cost operator C of sdp.choi_cost, and the 2000-point atom-cavity phase
+sweep of `ergoloc jc` (three anchor reductions, the probe check and the
+batched evaluation), best of five warm runs each.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import time
 
 import numpy as np
 
-from ergoloc import gpo, kernels, qmat, sdp
+from ergoloc import cli, gpo, kernels, models, qmat, sdp
 
 
 def _random_system(d_s, d_e, seed):
@@ -41,8 +43,8 @@ def _time(fn, repeats):
 
 def bench_ascent(repeats=5):
     system = _random_system(2, 6, seed=7)
-    c = sdp.choi_cost(system).c
-    e0 = float(np.trace(system.rho @ system.total_hamiltonian()).real)
+    cost = sdp.choi_cost(system)
+    c, e0 = cost.c, cost.energy
     u0 = qmat.haar_unitary(2, np.random.default_rng(1))
 
     def run():
@@ -63,14 +65,26 @@ def bench_admm(d_s, repeats=5):
     return _time(run, repeats)
 
 
+def bench_jc_sweep(repeats=5):
+    p = models.JcParams(1.0, 1.2, 0.1, 15)
+    phis = np.linspace(0.0, 20.0 * np.pi, 2000)
+
+    def run():
+        cli._jc_rows(p, phis, 0.4 * np.pi, 10, False)
+
+    run()
+    return _time(run, repeats)
+
+
 def main():
     rows = [
         ("ascent 2x6", bench_ascent()),
         ("admm d_s=2", bench_admm(2)),
         ("admm d_s=3", bench_admm(3)),
+        ("jc sweep 2000", bench_jc_sweep()),
     ]
     width = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{width}}  best wall time")
+    print(f"{'case':<{width}}  best wall time")
     for name, t in rows:
         print(f"{name:<{width}}  {t * 1e3:9.3f} ms")
 

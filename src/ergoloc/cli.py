@@ -3,8 +3,11 @@
 Verbs: global, local, jc, xxz, export-sdp, selftest.  Matrices travel as the
 JSON format documented in qmat.  Angles accept a "pi" suffix (0.4pi); sweeps
 are start:stop:steps with the same suffix rules.  Exit codes: 0 success,
-2 input error, 3 numerical non-convergence.  Sweeps compute their rows one
-after another; every command is deterministic for a fixed --seed.
+2 input error, 3 numerical non-convergence.  The jc sweep evaluates every
+phase at once from three reductions and checks itself against the per-point
+pipeline at one probe phase (exit 3 on a mismatch); xxz computes its rows one
+after another on a ring Hamiltonian built once.  Every command is
+deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -146,9 +149,8 @@ def cmd_local(args) -> int:
         values["polar"] = local.polar_upper_bound(mm)
     if method in ("sdp", "all"):
         cost = sdp.choi_cost(system)
-        rho_energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
         try:
-            bound, sol = sdp.sdp_upper_bound(cost, rho_energy, tol=args.sdp_tol)
+            bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=args.sdp_tol)
         except sdp.NonConvergenceError as exc:
             payload = {
                 "values": values,
@@ -182,19 +184,72 @@ def cmd_local(args) -> int:
     return EXIT_OK
 
 
-def _jc_row(p, phi, alpha, n, dynamical):
-    phase = phi
-    if dynamical:
+# phases at which the sweep runs the library pipeline: three anchors that fix
+# the affine coefficients, and a probe off the anchors that checks them
+_JC_ANCHORS = (0.0, np.pi / 2, np.pi)
+_JC_PROBE = 1.0
+_JC_PROBE_TOL = 1e-12
+
+
+class _ProbeMismatch(Exception):
+    pass
+
+
+def _jc_rows(p, phis, alpha, n, dynamical) -> np.ndarray:
+    """Rows (phi, local_ergotropy, switch_off, delta_off) of the phase sweep.
+
+    For the real dressed pair, rho(phase) = A + cos(phase) B + sin(phase) D,
+    and M, delta_off and rho_S are linear in rho.  Three reductions at the
+    anchor phases 0, pi/2 and pi therefore fix all three at every phase:
+    X_A = (X_0 + X_pi)/2, X_B = (X_0 - X_pi)/2, X_D = X_{pi/2} - X_A.  The
+    local value follows from one stacked branch formula on M, the free
+    stage of the switch-off work from one eigvalsh over the stacked rho_S.
+    Before returning, the columns are compared with the per-point pipeline
+    at the probe phase; a mismatch raises _ProbeMismatch.
+    """
+    phases = phis
+    if dynamical and p.rabi != 0:
         _, e_plus = models.jc_dressed_state(p, n, +1)
         _, e_minus = models.jc_dressed_state(p, n, -1)
-        phase = (e_minus - e_plus) * (phi / p.rabi) if p.rabi != 0 else phi
-    rho = models.jc_phase_family_state(p, n, alpha, phase)
-    system = models.jc_bipartite(p, rho)
-    mm = local.build_m_matrix(system)
-    value = local.qubit_local_ergotropy(mm).value
-    d_off = ergotropy.delta_off(system)
-    e_off = ergotropy.switch_off_ergotropy(system)
-    return phi, value, e_off, d_off
+        phases = (e_minus - e_plus) * (phis / p.rabi)
+    anchors = []
+    for phase in _JC_ANCHORS:
+        system = models.jc_bipartite(p, models.jc_phase_family_state(p, n, alpha, phase))
+        anchors.append(
+            (local.build_m_matrix(system).m, ergotropy.delta_off(system), system.rho_s())
+        )
+    coeffs = []
+    for x0, x1, x2 in zip(*anchors):
+        x_a = (x0 + x2) / 2
+        coeffs.append((x_a, (x0 - x2) / 2, x1 - x_a))
+    h_s = system.h_s
+    eps = np.linalg.eigvalsh(h_s)  # ascending
+
+    def columns(ph):
+        cos, sin = np.cos(ph), np.sin(ph)
+        m, d_off, rho_s = (
+            a + np.multiply.outer(cos, b) + np.multiply.outer(sin, d) for a, b, d in coeffs
+        )
+        value = local._branch_value(m)[0]
+        # free stage: Tr[rho_S h_s] minus the passive energy, populations descending
+        energy = np.einsum("nab,ba->n", rho_s, h_s).real
+        free = energy - np.linalg.eigvalsh(rho_s)[:, ::-1] @ eps
+        return value, free - d_off, d_off
+
+    probe = models.jc_bipartite(p, models.jc_phase_family_state(p, n, alpha, _JC_PROBE))
+    ref = (
+        local.qubit_local_ergotropy(local.build_m_matrix(probe)).value,
+        ergotropy.switch_off_ergotropy(probe),
+        ergotropy.delta_off(probe),
+    )
+    got = [float(col[0]) for col in columns(np.array([_JC_PROBE]))]
+    for name, g, r in zip(("local_ergotropy", "switch_off", "delta_off"), got, ref):
+        if abs(g - r) > _JC_PROBE_TOL * max(1.0, abs(r)):
+            raise _ProbeMismatch(
+                f"batched {name} {g!r} differs from the per-point pipeline {r!r} "
+                f"at the probe phase {_JC_PROBE}"
+            )
+    return np.column_stack((phis, *columns(phases)))
 
 
 def cmd_jc(args) -> int:
@@ -207,7 +262,11 @@ def cmd_jc(args) -> int:
         raise InputError(str(exc)) from exc
     alpha = _parse_angle(args.alpha)
     phis = _parse_sweep(args.sweep_phi)
-    rows = [_jc_row(p, float(phi), alpha, args.n, args.dynamical_phase) for phi in phis]
+    try:
+        rows = _jc_rows(p, phis, alpha, args.n, args.dynamical_phase)
+    except _ProbeMismatch as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
     lines = ["phi,local_ergotropy,switch_off,delta_off"]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -215,9 +274,11 @@ def cmd_jc(args) -> int:
     return EXIT_OK
 
 
-def _xxz_row(p, k):
+def _xxz_row(p, parts, k):
     psi = models.xxz_bethe_state(p, k)
-    system = models.xxz_bipartite(p, psi)
+    system = qmat.BipartiteSystem.build(
+        2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *parts
+    )
     e_k = models.xxz_bethe_energy(p, k)
     h = system.total_hamiltonian()
     residual = float(np.linalg.norm(h @ psi - e_k * psi))
@@ -247,7 +308,7 @@ def _xxz_row(p, k):
 def cmd_xxz(args) -> int:
     try:
         p = models.XxzParams(args.sites, args.epsilon, args.j, args.jz)
-        models.xxz_system(p)  # dimension guard
+        parts = models.xxz_system(p)  # also the dimension guard
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.k is None and not args.k_sweep:
@@ -262,7 +323,7 @@ def cmd_xxz(args) -> int:
     for k in ks:
         if not (-(args.sites // 2) < k <= args.sites // 2):
             raise InputError(f"k={k} out of range for N={args.sites}")
-    rows = [_xxz_row(p, k) for k in ks]
+    rows = [_xxz_row(p, parts, k) for k in ks]
     if args.format == "json":
         _emit(_json_dumps({"n_sites": args.sites, "rows": rows}), args.output)
     else:
@@ -285,8 +346,7 @@ def cmd_xxz(args) -> int:
 def cmd_export_sdp(args) -> int:
     system = _build_system(args)
     cost = sdp.choi_cost(system)
-    rho_energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-    sdp.export_instance(args.output, cost, rho_energy)
+    sdp.export_instance(args.output, cost, cost.energy)
     if args.solve:
         cost2, e2 = sdp.import_instance(args.output)
         try:
@@ -333,9 +393,8 @@ def cmd_selftest(args) -> int:
     check("qubit-closed-vs-optimizer", abs(closed - rep.value) < 1e-6,
           f"closed={closed:.9f} optimize={rep.value:.9f}")
     cost = sdp.choi_cost(sys_rand)
-    rho_energy = float(np.trace(sys_rand.rho @ sys_rand.total_hamiltonian()).real)
     try:
-        bound, _ = sdp.sdp_upper_bound(cost, rho_energy, tol=1e-7)
+        bound, _ = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
         check("sdp-qubit-tight", abs(bound - closed) < 1e-4,
               f"bound={bound:.9f} closed={closed:.9f}")
     except sdp.NonConvergenceError as exc:

@@ -102,24 +102,28 @@ def local_objective(system, u) -> float:
 # qubit closed formula and polar bound
 
 
-def _branch_value(m: np.ndarray) -> tuple[float, np.ndarray]:
+def _branch_value(m: np.ndarray):
     """max_{O in SO(k)} Tr[O M - M] and one attaining rotation.
 
     With M = U S V^T, the unrestricted orthogonal optimum of Tr[OM] is the
     sum of singular values, reached inside SO(k) iff det M >= 0; otherwise
     the best proper rotation sacrifices twice the smallest singular value.
     det M = 0 is served by the first branch (the branches agree there).
+
+    m may be a (..., k, k) stack; then the values come back as an array of
+    shape (...) and the rotations as a (..., k, k) stack.  A single matrix
+    gives a float and one rotation.
     """
     u, sv, vt = np.linalg.svd(m)
-    det_sign = np.linalg.det(u) * np.linalg.det(vt)
-    if det_sign >= 0:  # det(M) and det_sign share sign when no zero sv; at 0 both branches agree
-        o_best = vt.T @ u.T
-        value = float(np.sum(sv) - np.trace(m))
-    else:
-        flip = np.eye(m.shape[0])
-        flip[-1, -1] = -1.0
-        o_best = vt.T @ flip @ u.T
-        value = float(np.sum(sv) - 2.0 * sv[-1] - np.trace(m))
+    # det(M) and det(U)det(V^T) share sign when no sv is zero; at 0 both branches agree
+    proper = np.linalg.det(u) * np.linalg.det(vt) >= 0
+    sacrifice = np.where(proper, 0.0, 2.0 * sv[..., -1])
+    value = np.sum(sv, axis=-1) - sacrifice - np.trace(m, axis1=-2, axis2=-1)
+    flip = np.ones_like(sv)
+    flip[..., -1] = np.where(proper, 1.0, -1.0)
+    o_best = (np.swapaxes(vt, -1, -2) * flip[..., None, :]) @ np.swapaxes(u, -1, -2)
+    if m.ndim == 2:
+        return float(value), o_best
     return value, o_best
 
 
@@ -191,9 +195,8 @@ def optimize_local_unitary(system, cfg: OptimizerConfig | None = None) -> Ergotr
         starts.append(global_ergotropy(system.rho_s(), system.h_s).optimal_unitary)
     while len(starts) < cfg.restarts:
         starts.append(haar_unitary(d_s, rng))
-    c = sdp.choi_cost(system).c
-    # W(I) = 0, so Tr[H rho] = vec(I)† C vec(I)
-    e0 = float(np.einsum("aabb->", c.reshape(d_s, d_s, d_s, d_s)).real)
+    cost = sdp.choi_cost(system)
+    c, e0 = cost.c, cost.energy
 
     best = None
     total_iters = 0

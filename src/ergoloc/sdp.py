@@ -52,6 +52,12 @@ class ChoiCost:
     c: np.ndarray = field(repr=False)
     d_s: int
 
+    @property
+    def energy(self) -> float:
+        """Tr[H rho] as vec(I)† C vec(I): the unrotated state extracts nothing."""
+        d = self.d_s
+        return float(np.einsum("aabb->", self.c.reshape(d, d, d, d)).real)
+
 
 @dataclass
 class SdpSolution:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize
 
-from ergoloc import gpo, qmat
+from ergoloc import ergotropy, gpo, local, models, qmat
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -105,3 +105,24 @@ def max_entangled_two_level(d, rng, gap=None, shift=None):
     h_s = qmat.partial_trace(k, d, d, side="E") / d
     v = k - np.kron(h_s, np.eye(d))
     return qmat.hermitize(h_s), qmat.hermitize(v), qmat.hermitize(k)
+
+
+def jc_row(p, phi, alpha, n, dynamical):
+    """One row of the jc sweep through the per-point pipeline.
+
+    Builds and checks the joint state at this phase, reduces it to M and
+    evaluates the branch formula, the switch-off work and delta_off: the
+    oracle that the batched sweep of the CLI is compared against.
+    """
+    phase = phi
+    if dynamical:
+        _, e_plus = models.jc_dressed_state(p, n, +1)
+        _, e_minus = models.jc_dressed_state(p, n, -1)
+        phase = (e_minus - e_plus) * (phi / p.rabi) if p.rabi != 0 else phi
+    rho = models.jc_phase_family_state(p, n, alpha, phase)
+    system = models.jc_bipartite(p, rho)
+    mm = local.build_m_matrix(system)
+    value = local.qubit_local_ergotropy(mm).value
+    d_off = ergotropy.delta_off(system)
+    e_off = ergotropy.switch_off_ergotropy(system)
+    return phi, value, e_off, d_off

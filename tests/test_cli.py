@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ergoloc import kernels, local, models, qmat, sdp
+from ergoloc import cli, ergotropy, kernels, local, models, qmat, sdp
 from ergoloc.cli import main
-from helpers import random_system
+from helpers import jc_row, random_system
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,84 @@ def test_jc_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# (alpha, omega_e, rabi, n, dynamical phase, n_max override, sweep)
+JC_CASES = [
+    ("0", 1.2, 0.1, 10, False, None, "0:20pi:37"),
+    ("0.13pi", 0.85, 0.27, 4, False, None, "-pi:3pi:41"),
+    ("0.4pi", 1.0, 0.1, 1, True, None, "0:2pi:33"),
+    ("0.5pi", 1.2, 0.27, 10, True, None, "0.1:7.3:29"),
+    ("0.4pi", 0.85, 0.0, 4, True, None, "0:4pi:25"),
+    ("0.13pi", 1.0, 0.0, 1, False, None, "0:2pi:21"),
+    ("0.4pi", 1.2, 0.1, 4, True, 6, "0:6pi:31"),
+    ("0.5pi", 0.85, 0.1, 1, False, None, "-2pi:0:23"),
+    ("0", 1.0, 0.27, 4, True, None, "0:pi:17"),
+    ("0.4pi", 1.2, 0.1, 10, False, None, "0:20pi:40"),
+]
+
+
+def _jc_csv(capsys, tmp_path, alpha, omega_e, rabi, n, dynamical, n_max, sweep):
+    out_file = tmp_path / "jc.csv"
+    argv = [
+        "jc", "--alpha", alpha, "--omega-e", str(omega_e), "--rabi", str(rabi),
+        "--n", str(n), f"--sweep-phi={sweep}", "-o", str(out_file),
+    ]
+    if dynamical:
+        argv.append("--dynamical-phase")
+    if n_max is not None:
+        argv += ["--n-max", str(n_max)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "phi,local_ergotropy,switch_off,delta_off"
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+
+
+@pytest.mark.parametrize("case", JC_CASES)
+def test_jc_batched_rows_match_per_point_pipeline(tmp_path, capsys, case):
+    alpha, omega_e, rabi, n, dynamical, n_max, sweep = case
+    data = _jc_csv(capsys, tmp_path, *case)
+    start, stop, steps = sweep.split(":")
+    phis = np.linspace(
+        cli._parse_angle(start), cli._parse_angle(stop), int(steps)
+    )
+    assert np.array_equal(data[:, 0], phis)  # the exact grid, bit for bit
+    p = models.JcParams(1.0, omega_e, rabi, n + 5 if n_max is None else n_max)
+    a = cli._parse_angle(alpha)
+    ref = np.array([jc_row(p, float(phi), a, n, dynamical) for phi in phis])
+    assert np.max(np.abs(data[:, 1:] - ref[:, 1:])) <= 1e-12
+
+
+def test_jc_batched_rows_cross_the_branch_switch(tmp_path, capsys):
+    # det M changes sign along this sweep, so the stacked branch formula
+    # serves both branches within one batch
+    case = ("0.4pi", 1.2, 0.27, 1, False, None, "0:2pi:61")
+    data = _jc_csv(capsys, tmp_path, *case)
+    p = models.JcParams(1.0, 1.2, 0.27, 6)
+    dets = []
+    for phi, *cols in data:
+        system = models.jc_bipartite(p, models.jc_phase_family_state(p, 1, 0.4 * np.pi, phi))
+        dets.append(np.linalg.det(local.build_m_matrix(system).m))
+        ref = jc_row(p, phi, 0.4 * np.pi, 1, False)[1:]
+        assert np.max(np.abs(np.array(cols) - ref)) <= 1e-12
+    assert min(dets) < -1e-4 and max(dets) > 1e-4
+
+
+def test_jc_probe_check_rejects_non_affine_family(tmp_path, capsys, monkeypatch):
+    # a family whose phase enters as 2 phi is not affine in (cos phi, sin phi):
+    # the three anchors cannot represent it and the probe phase catches that
+    true_family = models.jc_phase_family_state
+
+    def doubled(p, n, alpha, phi):
+        return true_family(p, n, alpha, 2 * phi)
+
+    monkeypatch.setattr(models, "jc_phase_family_state", doubled)
+    out_file = tmp_path / "jc.csv"
+    code, _, err = run_cli(capsys, "jc", "--n", "1", "--sweep-phi", "0:2pi:10", "-o", str(out_file))
+    assert code == 3
+    assert "probe" in err
+    assert not out_file.exists()
+
+
 def test_jc_invalid_sweep(capsys):
     code, _, err = run_cli(capsys, "jc", "--sweep-phi", "0:1")
     assert code == 2
@@ -196,6 +274,46 @@ def test_xxz_sweep_consistency(tmp_path, capsys):
         assert float(cells[i_res]) <= 1e-10
         if cells[i_gap]:
             assert float(cells[i_gap]) <= 1e-9
+
+
+def test_xxz_sweep_builds_ring_once(tmp_path, capsys, monkeypatch):
+    # one dense ring build per invocation; the rows equal those of a system
+    # built per k through the library wrapper
+    calls = []
+    true_system = models.xxz_system
+
+    def counted(p):
+        calls.append(p)
+        return true_system(p)
+
+    monkeypatch.setattr(models, "xxz_system", counted)
+    out_file = tmp_path / "ring.csv"
+    argv = ["xxz", "--sites", "6", "--epsilon", "0.7", "--j", "0.13", "--jz", "0.3"]
+    code, _, _ = run_cli(capsys, *argv, "--k-sweep", "-o", str(out_file))
+    assert code == 0
+    assert len(calls) == 1
+
+    p = models.XxzParams(6, 0.7, 0.13, 0.3)
+    lines = [out_file.read_text().splitlines()[0]]
+    for k in range(-2, 4):
+        psi = models.xxz_bethe_state(p, k)
+        system = models.xxz_bipartite(p, psi)
+        e_k = models.xxz_bethe_energy(p, k)
+        residual = float(np.linalg.norm(system.total_hamiltonian() @ psi - e_k * psi))
+        numeric = local.qubit_local_ergotropy(local.build_m_matrix(system)).value
+        try:
+            analytic = models.xxz_analytic(p, k).local_ergotropy
+            gap = cli._fmt(abs(analytic - numeric))
+            analytic = cli._fmt(analytic)
+        except models.RegimeError:
+            analytic = gap = ""
+        cells = [
+            str(k), cli._fmt(e_k), cli._fmt(ergotropy.delta_off(system)),
+            cli._fmt(ergotropy.switch_off_ergotropy(system)), analytic,
+            cli._fmt(numeric), cli._fmt(residual), gap,
+        ]
+        lines.append(",".join(cells))
+    assert out_file.read_text() == "\n".join(lines) + "\n"
 
 
 def test_xxz_small_ring_reversal_rows(tmp_path, capsys):

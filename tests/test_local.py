@@ -125,6 +125,24 @@ def test_branch_continuity_as_det_crosses_zero():
         assert abs(v_pos - v_neg) < 4 * s_min + 1e-12
 
 
+def test_branch_value_stack_matches_single_calls():
+    # a (..., k, k) stack gives, entry by entry, the value and rotation of the
+    # single-matrix call; both branches occur (det M of either sign)
+    rng = np.random.default_rng(12)
+    for k in (3, 8):
+        stack = rng.normal(size=(2, 5, k, k))
+        stack[0, 0, -1] = 0.0  # det M = 0 on the branch boundary
+        values, rotations = local._branch_value(stack)
+        assert values.shape == (2, 5) and rotations.shape == (2, 5, k, k)
+        dets = np.linalg.det(stack)
+        assert np.any(dets > 0) and np.any(dets < 0)
+        for idx in np.ndindex(2, 5):
+            value, rotation = local._branch_value(stack[idx])
+            assert isinstance(value, float)
+            assert abs(values[idx] - value) <= 1e-12 * max(1.0, abs(value))
+            assert np.max(np.abs(rotations[idx] - rotation)) <= 1e-12
+
+
 def test_rotation_lift_roundtrip():
     rng = np.random.default_rng(5)
     basis = gpo.gpo_basis(2)

@@ -18,10 +18,12 @@ def _random_kraus(d, n_ops, rng):
 
 def test_choi_identity_channel():
     rng = np.random.default_rng(0)
-    system = random_system(2, 3, rng)
-    cost = sdp.choi_cost(system)
-    e_id = sdp.choi_matrix([np.eye(2)])
-    assert abs(np.trace(cost.c @ e_id).real - _rho_energy(system)) < 1e-11
+    for d_s, d_e in ((2, 3), (3, 4)):
+        system = random_system(d_s, d_e, rng)
+        cost = sdp.choi_cost(system)
+        e_id = sdp.choi_matrix([np.eye(d_s)])
+        assert abs(np.trace(cost.c @ e_id).real - _rho_energy(system)) < 1e-11
+        assert abs(cost.energy - _rho_energy(system)) < 1e-11
 
 
 def test_choi_cost_hermitian():
