@@ -3,9 +3,12 @@
 Run:  python benchmarks/bench_kernels.py
 
 Times the local-unitary ascent and the unital-bound solver, both on the
-cost operator C of sdp.choi_cost, and the 2000-point atom-cavity phase
-sweep of `ergoloc jc` (three anchor reductions, the probe check and the
-batched evaluation), best of five warm runs each.
+cost operator C of sdp.choi_cost, the whole local optimizer at
+(d_S, d_E) = (3, 3) with its 32 default restarts and with a solved
+relaxation to round (the solve itself is the "admm d_s=3" case), and the
+2000-point atom-cavity phase sweep of `ergoloc jc` (three anchor
+reductions, the probe check and the batched evaluation), best of five warm
+runs each.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 
 import numpy as np
 
-from ergoloc import cli, gpo, kernels, models, qmat, sdp
+from ergoloc import cli, gpo, kernels, local, models, qmat, sdp
 
 
 def _random_system(d_s, d_e, seed):
@@ -65,6 +68,21 @@ def bench_admm(d_s, repeats=5):
     return _time(run, repeats)
 
 
+def bench_optimize(relaxed, repeats=5):
+    system = _random_system(3, 3, seed=13)
+    relaxation = None
+    if relaxed:
+        cost = sdp.choi_cost(system)
+        _, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
+        relaxation = (cost, sol, 1e-7)
+
+    def run():
+        local.optimize_local_unitary(system, relaxation=relaxation)
+
+    run()
+    return _time(run, repeats)
+
+
 def bench_jc_sweep(repeats=5):
     p = models.JcParams(1.0, 1.2, 0.1, 15)
     phis = np.linspace(0.0, 20.0 * np.pi, 2000)
@@ -81,6 +99,8 @@ def main():
         ("ascent 2x6", bench_ascent()),
         ("admm d_s=2", bench_admm(2)),
         ("admm d_s=3", bench_admm(3)),
+        ("optimize 3x3, restarts", bench_optimize(False)),
+        ("optimize 3x3, rounded", bench_optimize(True)),
         ("jc sweep 2000", bench_jc_sweep()),
     ]
     width = max(len(r[0]) for r in rows)

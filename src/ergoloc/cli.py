@@ -3,11 +3,13 @@
 Verbs: global, local, jc, xxz, export-sdp, selftest.  Matrices travel as the
 JSON format documented in qmat.  Angles accept a "pi" suffix (0.4pi); sweeps
 are start:stop:steps with the same suffix rules.  Exit codes: 0 success,
-2 input error, 3 numerical non-convergence.  The jc sweep evaluates every
-phase at once from three reductions and checks itself against the per-point
-pipeline at one probe phase (exit 3 on a mismatch); xxz computes its rows one
-after another on a ring Hamiltonian built once.  Every command is
-deterministic for a fixed --seed.
+2 input error, 3 numerical non-convergence.  local --method all solves the
+unital relaxation first and hands it to the optimizer, which rounds it and
+runs its restarts only when the rounded value is not certified.  The jc
+sweep evaluates every phase at once from three reductions and checks itself
+against the per-point pipeline at one probe phase (exit 3 on a mismatch);
+xxz computes its rows one after another on a ring Hamiltonian built once.
+Every command is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -133,13 +135,21 @@ def cmd_local(args) -> int:
     mm = local.build_m_matrix(system)
     if method in ("closed", "all") and args.ds == 2:
         values["closed"] = local.qubit_local_ergotropy(mm).value
+    # the relaxation is solved before the optimizer, which rounds it
+    relaxation = sdp_error = None
+    if method in ("sdp", "all"):
+        cost = sdp.choi_cost(system)
+        try:
+            bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=args.sdp_tol)
+            relaxation = (cost, sol, args.sdp_tol)
+        except sdp.NonConvergenceError as exc:
+            sdp_error = exc
     if method in ("optimize", "all"):
-        rep = local.optimize_local_unitary(system, cfg)
+        rep = local.optimize_local_unitary(system, cfg, relaxation)
         values["optimize"] = rep.value
         details["optimize"] = {
-            "converged": rep.diagnostics["converged"],
-            "gradient_norm": rep.diagnostics["gradient_norm"],
-            "restarts": rep.diagnostics["restarts"],
+            key: rep.diagnostics[key]
+            for key in ("converged", "gradient_norm", "restarts", "certified", "bound")
         }
         if not rep.diagnostics["converged"]:
             payload = {"values": values, "details": details, "error": "optimizer did not converge"}
@@ -147,18 +157,15 @@ def cmd_local(args) -> int:
             return EXIT_NUMERIC
     if method in ("polar", "all"):
         values["polar"] = local.polar_upper_bound(mm)
-    if method in ("sdp", "all"):
-        cost = sdp.choi_cost(system)
-        try:
-            bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=args.sdp_tol)
-        except sdp.NonConvergenceError as exc:
-            payload = {
-                "values": values,
-                "error": str(exc),
-                "residuals": [exc.solution.primal_residual, exc.solution.dual_residual],
-            }
-            _emit(_json_dumps(payload), args.output)
-            return EXIT_NUMERIC
+    if sdp_error is not None:
+        payload = {
+            "values": values,
+            "error": str(sdp_error),
+            "residuals": [sdp_error.solution.primal_residual, sdp_error.solution.dual_residual],
+        }
+        _emit(_json_dumps(payload), args.output)
+        return EXIT_NUMERIC
+    if relaxation is not None:
         values["sdp"] = bound
         details["sdp"] = {
             "iterations": sol.iterations,
@@ -274,35 +281,45 @@ def cmd_jc(args) -> int:
     return EXIT_OK
 
 
-def _xxz_row(p, parts, k):
-    psi = models.xxz_bethe_state(p, k)
-    system = qmat.BipartiteSystem.build(
-        2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *parts
-    )
-    e_k = models.xxz_bethe_energy(p, k)
-    h = system.total_hamiltonian()
-    residual = float(np.linalg.norm(h @ psi - e_k * psi))
-    d_off = ergotropy.delta_off(system)
-    e_off = ergotropy.switch_off_ergotropy(system)
-    mm = local.build_m_matrix(system)
-    numeric = local.qubit_local_ergotropy(mm).value
-    try:
-        triple = models.xxz_analytic(p, k)
-        analytic = triple.local_ergotropy
-        gap = abs(analytic - numeric)
-    except models.RegimeError:
-        analytic = None
-        gap = None
-    return {
-        "k": k,
-        "energy": e_k,
-        "delta_off": d_off,
-        "switch_off": e_off,
-        "local_analytic": analytic,
-        "local_numeric": numeric,
-        "bethe_residual": residual,
-        "analytic_numeric_gap": gap,
-    }
+def _xxz_rows(p, parts, ks):
+    """One table row per momentum k, from the ring parts built once.
+
+    The ring Hamiltonian of the Bethe residuals is the same for every k, so
+    it is formed once, from the first row's system.
+    """
+    rows = []
+    h = None
+    for k in ks:
+        psi = models.xxz_bethe_state(p, k)
+        system = qmat.BipartiteSystem.build(
+            2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *parts
+        )
+        if h is None:
+            h = system.total_hamiltonian()
+        e_k = models.xxz_bethe_energy(p, k)
+        residual = float(np.linalg.norm(h @ psi - e_k * psi))
+        d_off = ergotropy.delta_off(system)
+        e_off = ergotropy.switch_off_ergotropy(system)
+        mm = local.build_m_matrix(system)
+        numeric = local.qubit_local_ergotropy(mm).value
+        try:
+            triple = models.xxz_analytic(p, k)
+            analytic = triple.local_ergotropy
+            gap = abs(analytic - numeric)
+        except models.RegimeError:
+            analytic = None
+            gap = None
+        rows.append({
+            "k": k,
+            "energy": e_k,
+            "delta_off": d_off,
+            "switch_off": e_off,
+            "local_analytic": analytic,
+            "local_numeric": numeric,
+            "bethe_residual": residual,
+            "analytic_numeric_gap": gap,
+        })
+    return rows
 
 
 def cmd_xxz(args) -> int:
@@ -323,7 +340,7 @@ def cmd_xxz(args) -> int:
     for k in ks:
         if not (-(args.sites // 2) < k <= args.sites // 2):
             raise InputError(f"k={k} out of range for N={args.sites}")
-    rows = [_xxz_row(p, parts, k) for k in ks]
+    rows = _xxz_rows(p, parts, ks)
     if args.format == "json":
         _emit(_json_dumps({"n_sites": args.sites, "rows": rows}), args.output)
     else:

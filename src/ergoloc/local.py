@@ -8,8 +8,10 @@ with rho_E^(i) = Tr_S[(s^i x I) rho] and V_E^(k) = Tr_S[(s^k x I) V]: in
 Bloch form the objective is Tr[O_U M - M] over the orthogonal images O_U.
 For a qubit S the image set is all of SO(3) and a polar decomposition gives
 the exact optimum; for d_S >= 3 the same expression over SO(d_S^2-1) is an
-upper bound and the optimum is found by gradient ascent with restarts on
-the d_S^2-square cost operator of sdp.choi_cost.
+upper bound and the optimum is found by gradient ascent on the d_S^2-square
+cost operator of sdp.choi_cost.  Given a solved unital relaxation, the ascent
+starts from the unitary read off its optimum and stops there when the result
+meets the relaxation's certified bound; otherwise it runs seeded restarts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import kernels, sdp
 from .ergotropy import ErgotropyReport, global_ergotropy
@@ -130,17 +131,30 @@ def _branch_value(m: np.ndarray):
 def rotation_to_qubit_unitary(o: np.ndarray) -> np.ndarray:
     """Lift O in SO(3) to U in SU(2) with orthogonal_image(U) = O.
 
-    Axis-angle extraction, then U = cos(t/2) I - i sin(t/2) n.sigma.
+    The unit quaternion q of O is read off the row of the largest of
+    q_0^2..q_3^2 (Shepperd's rule, stable at every angle) and signed so that
+    q_0 >= 0; then U = q_0 I - i (q_1 s_1 + q_2 s_2 + q_3 s_3).
     """
-    rotvec = Rotation.from_matrix(o).as_rotvec()
-    angle = float(np.linalg.norm(rotvec))
-    ident = np.eye(2, dtype=np.complex128)
-    if angle < 1e-300:
-        return ident
-    axis = rotvec / angle
+    o = np.asarray(o, dtype=float)
+    tr = o[0, 0] + o[1, 1] + o[2, 2]
+    # 4 q_k^2 = 1 + tr for k = 0 and 1 + 2 o_aa - tr for k = a + 1
+    k = int(np.argmax((tr, o[0, 0], o[1, 1], o[2, 2])))
+    if k == 0:
+        q = np.array([1.0 + tr, o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]])
+    else:
+        a = k - 1
+        b, c = (a + 1) % 3, (a + 2) % 3
+        q = np.empty(4)
+        q[0] = o[c, b] - o[b, c]
+        q[1 + a] = 1.0 + 2.0 * o[a, a] - tr
+        q[1 + b] = o[b, a] + o[a, b]
+        q[1 + c] = o[c, a] + o[a, c]
+    q /= np.linalg.norm(q)
+    if q[0] < 0:
+        q = -q
     basis = gpo_basis(2)
-    n_sigma = axis[0] * basis[0] + axis[1] * basis[1] + axis[2] * basis[2]
-    return np.cos(angle / 2) * ident - 1j * np.sin(angle / 2) * n_sigma
+    n_sigma = q[1] * basis[0] + q[2] * basis[1] + q[3] * basis[2]
+    return q[0] * np.eye(2, dtype=np.complex128) - 1j * n_sigma
 
 
 def qubit_local_ergotropy(mm: MMatrix) -> ErgotropyReport:
@@ -175,15 +189,37 @@ def polar_upper_bound(mm: MMatrix) -> float:
 # gradient ascent over local unitaries
 
 
-def optimize_local_unitary(system, cfg: OptimizerConfig | None = None) -> ErgotropyReport:
-    """Restarted geodesic ascent of the local extraction functional.
+def _round_relaxation(e: np.ndarray, d: int) -> np.ndarray:
+    """Unitary polar factor of the top eigenvector x of E, read as vec U.
 
-    Start points: the identity, the optimizer of the decoupled problem
-    (the free-case optimal unitary of rho_S under h_s), and Haar-random
-    unitaries drawn from the seeded generator, cfg.restarts in total.
-    Restarts are independent; the result is their pure maximum, deterministic
-    for a fixed (seed, restarts) pair.  Every restart runs on the cost
-    operator C, built once per call.
+    vec U = U.T.ravel(), so the candidate matrix is x.reshape(d, d).T; a
+    rank-one optimum E = x x† of a tight relaxation gives the optimal U.
+    """
+    x = np.linalg.eigh(e)[1][:, -1]
+    w, _, vh = np.linalg.svd(x.reshape(d, d).T)
+    return w @ vh
+
+
+def optimize_local_unitary(
+    system, cfg: OptimizerConfig | None = None, relaxation=None
+) -> ErgotropyReport:
+    """Geodesic ascent of the local extraction functional.
+
+    relaxation, when given, is the (ChoiCost, SdpSolution, tol) of a solved
+    unital relaxation of this system (sdp.sdp_upper_bound at tolerance tol).
+    Its optimum is rounded to a unitary and polished by one ascent.  The
+    result is returned as certified, and no restart runs, when the polish
+    converged and its value is at least B - 10 tol, where
+    B = Tr[H rho] - sol.dual_value is the bound certified by the solver's
+    feasible dual point and 10 tol the duality gap it certifies on stopping.
+
+    Otherwise, or without a relaxation, the ascent runs from seeded start
+    points: the identity, the optimizer of the decoupled problem (the
+    free-case optimal unitary of rho_S under h_s), and Haar-random unitaries
+    drawn from the seeded generator, cfg.restarts in total.  The result is
+    the pure maximum over every ascent run, deterministic for a fixed
+    (seed, restarts) pair.  Every ascent runs on the cost operator C, built
+    once per call or taken from the relaxation.
     """
     cfg = cfg or OptimizerConfig()
     d_s, d_e = system.d_s, system.d_e
@@ -195,21 +231,34 @@ def optimize_local_unitary(system, cfg: OptimizerConfig | None = None) -> Ergotr
         starts.append(global_ergotropy(system.rho_s(), system.h_s).optimal_unitary)
     while len(starts) < cfg.restarts:
         starts.append(haar_unitary(d_s, rng))
-    cost = sdp.choi_cost(system)
+    if relaxation is None:
+        cost, bound = sdp.choi_cost(system), None
+    else:
+        cost, sol, tol = relaxation
+        bound = cost.energy - sol.dual_value
     c, e0 = cost.c, cost.energy
 
-    best = None
-    total_iters = 0
-    for u0 in starts:
+    def ascend(u0):
         u, value, gnorm, iters, status = kernels.ascent_kernel(
             c, e0, u0, cfg.max_iterations, cfg.gradient_tolerance
         )
-        total_iters += iters
-        if best is None or value > best[0] + 1e-12:
-            best = (value, u, gnorm, status)
-    value, u, gnorm, status = best
-    # a stalled line search counts only when the gradient is small as well
-    converged = status == 0 or gnorm <= max(cfg.gradient_tolerance, 1e-7)
+        # a stalled line search counts only when the gradient is small as well
+        converged = status == 0 or gnorm <= max(cfg.gradient_tolerance, 1e-7)
+        return value, u, gnorm, status, iters, converged
+
+    runs = []
+    certified = False
+    if relaxation is not None:
+        runs.append(ascend(_round_relaxation(sol.e, d_s)))
+        value, *_, converged = runs[0]
+        certified = converged and value >= bound - 10.0 * tol
+    if not certified:
+        runs.extend(ascend(u0) for u0 in starts)
+    best = runs[0]
+    for run in runs[1:]:
+        if run[0] > best[0] + 1e-12:
+            best = run
+    value, u, gnorm, status, _, converged = best
     return ErgotropyReport(
         value=float(value),
         optimal_unitary=u,
@@ -217,7 +266,9 @@ def optimize_local_unitary(system, cfg: OptimizerConfig | None = None) -> Ergotr
             "gradient_norm": float(gnorm),
             "converged": bool(converged),
             "status": int(status),
-            "restarts": len(starts),
-            "total_iterations": int(total_iters),
+            "restarts": len(runs),
+            "total_iterations": int(sum(run[4] for run in runs)),
+            "certified": bool(certified),
+            "bound": None if bound is None else float(bound),
         },
     )

@@ -145,9 +145,17 @@ class BipartiteSystem:
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"rho must have unit trace, got {tr}")
-        wmin = float(np.linalg.eigvalsh(rho)[0])
-        if wmin < -1e-10:
-            raise ValueError(f"rho must be positive semidefinite, min eig {wmin}")
+        # up to rounding, lambda_min(rho) > -1e-10 iff rho + 1e-10 I has a
+        # Cholesky factor; the spectrum is computed only to confirm and
+        # report a failure
+        shifted = rho.copy()
+        shifted.flat[:: n + 1] += 1e-10
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            wmin = float(np.linalg.eigvalsh(rho)[0])
+            if wmin < -1e-10:
+                raise ValueError(f"rho must be positive semidefinite, min eig {wmin}") from None
         h_s = hermitize(h_s, tol)
         if h_s.shape != (d_s, d_s):
             raise ValueError("h_s has the wrong dimension")

@@ -10,8 +10,10 @@ with the cost operator C = Tr_E[rho^{T_S} H_{S'E}].  For a channel Phi with
 representation E^Phi = sum_{a,a'} |a><a'| x Phi(|a><a'|) the identity
 Tr[H (Phi x id)(rho)] = Tr[C E^Phi] holds exactly, which is what the tests
 validate.  For d_S = 2 unital channels are exactly mixtures of unitaries, so
-the bound coincides with the closed qubit formula; for d_S >= 3 it is an
-upper bound whose gap is reported, not asserted.
+the bound coincides with the closed qubit formula.  For d_S >= 3 it is an
+upper bound that is exact on random instances but not everywhere; exactness
+is certified per instance by local.optimize_local_unitary, which rounds the
+optimum E to a unitary and compares its value with the bound.
 """
 
 from __future__ import annotations

@@ -126,3 +126,23 @@ def jc_row(p, phi, alpha, n, dynamical):
     d_off = ergotropy.delta_off(system)
     e_off = ergotropy.switch_off_ergotropy(system)
     return phi, value, e_off, d_off
+
+
+def non_tight_qutrit_fixtures():
+    """(name, rho, v, sdp value, best unitary value) on 3 x 3 with h_S = h_E = 0.
+
+    Three symmetric instances on which the unital relaxation is not exact:
+    its optimum is a rank-3 channel, not a unitary.  s_i runs over the GPO
+    basis of d = 3.
+    """
+    d = 3
+    s = gpo.gpo_basis(d).elements
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    v_plain = sum(np.kron(a, a) for a in s)
+    v_transposed = sum(np.kron(a, a.T) for a in s)
+    return [
+        ("phi_plus", np.outer(phi, phi), v_plain, 4.0, 8.0 / 3.0),
+        ("antisymmetric", (np.eye(d * d) - swap) / 6.0, -v_transposed, 2.0, 4.0 / 3.0),
+        ("symmetric", (np.eye(d * d) + swap) / 12.0, v_transposed, 1.0, 2.0 / 3.0),
+    ]

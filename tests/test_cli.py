@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ergoloc import cli, ergotropy, kernels, local, models, qmat, sdp
 from ergoloc.cli import main
-from helpers import jc_row, random_system
+from helpers import jc_row, non_tight_qutrit_fixtures, random_system
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,96 @@ def test_local_all_methods_consistent(tmp_path, capsys):
     assert abs(vals["closed"] - vals["optimize"]) < 1e-6
     assert abs(vals["closed"] - vals["polar"]) < 1e-10
     assert abs(vals["closed"] - vals["sdp"]) < 1e-4
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    true_fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return true_fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_local_all_solves_the_relaxation_once_and_rounds_it(tmp_path, capsys, monkeypatch):
+    system = random_system(3, 2, np.random.default_rng(20))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    argv = ["local", "--state", state_f, "--hs", hs_f, "--v", v_f, "--ds", "3", "--de", "2"]
+    costs = _counting(monkeypatch, sdp, "choi_cost")
+    solves = _counting(monkeypatch, sdp, "sdp_upper_bound")
+    code, out, _ = run_cli(capsys, *argv, "--method", "all")
+    assert code == 0
+    assert (len(costs), len(solves)) == (1, 1)
+    payload = json.loads(out)
+    opt = payload["details"]["optimize"]
+    assert opt["certified"] is True
+    assert opt["restarts"] == 1
+    assert payload["values"]["optimize"] >= opt["bound"] - 1e-6
+    assert payload["values"]["sdp"] >= payload["values"]["optimize"] - 1e-6
+    assert payload["ordering_ok"]
+
+    del costs[:], solves[:]
+    code, out, _ = run_cli(capsys, *argv, "--method", "optimize")
+    assert code == 0
+    assert (len(costs), len(solves)) == (1, 0)
+    opt = json.loads(out)["details"]["optimize"]
+    assert opt["certified"] is False
+    assert opt["bound"] is None
+    assert opt["restarts"] == 32
+
+
+def test_local_all_non_tight_fixture_runs_restarts(tmp_path, capsys):
+    _, rho, v, sdp_value, best = non_tight_qutrit_fixtures()[0]
+    qmat.save_matrix(tmp_path / "rho.json", rho)
+    qmat.save_matrix(tmp_path / "hs.json", np.zeros((3, 3)))
+    qmat.save_matrix(tmp_path / "v.json", v)
+    code, out, _ = run_cli(
+        capsys, "local", "--state", str(tmp_path / "rho.json"),
+        "--hs", str(tmp_path / "hs.json"), "--v", str(tmp_path / "v.json"),
+        "--ds", "3", "--de", "3", "--method", "all",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ordering_ok"] is True
+    assert payload["details"]["optimize"]["certified"] is False
+    assert payload["details"]["optimize"]["restarts"] == 33
+    assert abs(payload["values"]["sdp"] - sdp_value) < 1e-5
+    assert abs(payload["values"]["optimize"] - best) < 1e-9
+
+
+def test_local_all_sdp_nonconvergence_exits_numeric(tmp_path, capsys, monkeypatch):
+    # the optimizer falls back to its restarts, then the verb reports the
+    # solver failure as before
+    def stuck(c, d, tol, max_iter):
+        return np.eye(d * d) / d, 0.0, 1.0, 1.0, max_iter, -1.0
+
+    monkeypatch.setattr(kernels, "admm_kernel", stuck)
+    ascents = _counting(monkeypatch, kernels, "ascent_kernel")
+    system = random_system(2, 2, np.random.default_rng(21))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    code, out, _ = run_cli(
+        capsys, "local", "--state", state_f, "--hs", hs_f, "--v", v_f,
+        "--ds", "2", "--de", "2", "--method", "all", "--restarts", "4",
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert set(payload) == {"values", "error", "residuals"}
+    assert set(payload["values"]) == {"closed", "optimize", "polar"}
+    assert payload["residuals"] == [1.0, 1.0]
+    assert len(ascents) == 4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, ergoloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_local_closed_requires_qubit(tmp_path, capsys):

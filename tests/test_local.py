@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from ergoloc import ergotropy, gpo, kernels, local, models, qmat, sdp
-from helpers import brute_local_max, direct_objective, random_system
+from helpers import (
+    brute_local_max,
+    direct_objective,
+    non_tight_qutrit_fixtures,
+    random_system,
+)
 
 
 def test_m_zero_for_mixed_state_no_coupling():
@@ -152,6 +157,31 @@ def test_rotation_lift_roundtrip():
         u2 = local.rotation_to_qubit_unitary(o)
         o2 = gpo.orthogonal_image(u2, basis)
         assert np.max(np.abs(o - o2)) < 1e-9
+
+
+def test_rotation_lift_matches_scipy_lift():
+    # scipy's axis-angle lift is the oracle here only; the package lifts
+    # through the quaternion in numpy
+    from scipy.spatial.transform import Rotation
+
+    basis = gpo.gpo_basis(2)
+
+    def scipy_lift(o):
+        rotvec = Rotation.from_matrix(o).as_rotvec()
+        angle = float(np.linalg.norm(rotvec))
+        if angle == 0.0:
+            return np.eye(2, dtype=complex)
+        n = rotvec / angle
+        n_sigma = n[0] * basis[0] + n[1] * basis[1] + n[2] * basis[2]
+        return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * n_sigma
+
+    rng = np.random.default_rng(25)
+    rotations = [np.eye(3), np.diag([1.0, -1, -1]), np.diag([-1.0, 1, -1]), np.diag([-1.0, -1, 1])]
+    rotations += [gpo.orthogonal_image(qmat.haar_unitary(2, rng), basis) for _ in range(2000)]
+    for o in rotations:
+        u = local.rotation_to_qubit_unitary(o)
+        assert np.max(np.abs(u - scipy_lift(o))) < 1e-12
+        assert np.max(np.abs(gpo.orthogonal_image(u, basis) - o)) < 1e-12
 
 
 def test_polar_bound_equals_closed_formula_for_qubit():
@@ -306,3 +336,43 @@ def test_convexity_in_state():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         local.OptimizerConfig(restarts=0)
+
+
+def _relaxation(system, tol=1e-7):
+    cost = sdp.choi_cost(system)
+    bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=tol)
+    return bound, (cost, sol, tol)
+
+
+def test_rounded_relaxation_matches_restarts_and_is_certified():
+    rng = np.random.default_rng(26)
+    for i in range(12):
+        d_s = 2 + i % 2
+        d_e = int(rng.integers(2, 7))
+        system = random_system(d_s, d_e, rng, rank=1 if i % 3 == 0 else None)
+        _, relaxation = _relaxation(system)
+        rounded = local.optimize_local_unitary(system, relaxation=relaxation)
+        restarted = local.optimize_local_unitary(system)
+        assert rounded.diagnostics["certified"] is True
+        assert rounded.diagnostics["converged"] is True
+        assert rounded.diagnostics["restarts"] == 1
+        assert rounded.value <= rounded.diagnostics["bound"] + 1e-12
+        assert rounded.value >= restarted.value - 1e-12
+        attained = local.local_objective(system, rounded.optimal_unitary)
+        assert abs(attained - rounded.value) <= 1e-12 * max(1.0, abs(rounded.value))
+        assert restarted.diagnostics["certified"] is False
+        assert restarted.diagnostics["bound"] is None
+        assert restarted.diagnostics["restarts"] == 32
+
+
+@pytest.mark.parametrize("case", non_tight_qutrit_fixtures(), ids=lambda c: c[0])
+def test_non_tight_relaxation_falls_back_to_restarts(case):
+    _, rho, v, sdp_value, best = case
+    system = qmat.BipartiteSystem.build(3, 3, rho, np.zeros((3, 3)), None, v)
+    bound, relaxation = _relaxation(system)
+    assert abs(bound - sdp_value) < 1e-5
+    rep = local.optimize_local_unitary(system, relaxation=relaxation)
+    assert rep.diagnostics["certified"] is False
+    assert rep.diagnostics["restarts"] == 1 + local.OptimizerConfig().restarts
+    assert abs(rep.value - best) < 1e-9
+    assert abs(rep.value - brute_local_max(system, tries=10)) < 1e-9

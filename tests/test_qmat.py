@@ -205,3 +205,22 @@ def test_bipartite_system_validation():
     # non-positive state is rejected
     with pytest.raises(ValueError):
         qmat.BipartiteSystem.build(2, 2, rho - 0.5 * np.eye(4), h_s, h_e, v)
+
+
+@pytest.mark.parametrize("n", [4, 512])
+def test_positivity_boundary(n):
+    # the state is accepted iff its smallest eigenvalue is above -1e-10
+    rng = np.random.default_rng(27)
+    q = qmat.haar_unitary(n, rng)
+    h_e = np.zeros((n // 2, n // 2))
+    for lam_min, accepted in ((-5e-11, True), (-2e-10, False)):
+        w = rng.uniform(0.5, 1.5, size=n)
+        w[0] = 0.0
+        w *= (1.0 - lam_min) / w.sum()
+        w[0] = lam_min
+        rho = (q * w) @ q.conj().T
+        if accepted:
+            qmat.BipartiteSystem.build(2, n // 2, rho, np.zeros((2, 2)), h_e)
+        else:
+            with pytest.raises(ValueError, match="min eig"):
+                qmat.BipartiteSystem.build(2, n // 2, rho, np.zeros((2, 2)), h_e)
