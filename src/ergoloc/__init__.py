@@ -78,9 +78,7 @@ from .sdp import (
     ChoiCost,
     NonConvergenceError,
     SdpSolution,
-    apply_channel_local,
     choi_cost,
-    choi_matrix,
     export_instance,
     import_instance,
     sdp_upper_bound,

@@ -138,7 +138,7 @@ def cmd_local(args) -> int:
     # the relaxation is solved before the optimizer, which rounds it
     relaxation = sdp_error = None
     if method in ("sdp", "all"):
-        cost = sdp.choi_cost(system)
+        cost = sdp.choi_cost(mm, system.energy())
         try:
             bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=args.sdp_tol)
             relaxation = (cost, sol, args.sdp_tol)
@@ -362,7 +362,7 @@ def cmd_xxz(args) -> int:
 
 def cmd_export_sdp(args) -> int:
     system = _build_system(args)
-    cost = sdp.choi_cost(system)
+    cost = sdp.choi_cost(local.build_m_matrix(system), system.energy())
     sdp.export_instance(args.output, cost, cost.energy)
     if args.solve:
         cost2, e2 = sdp.import_instance(args.output)
@@ -409,7 +409,7 @@ def cmd_selftest(args) -> int:
     rep = local.optimize_local_unitary(sys_rand, local.OptimizerConfig(restarts=8, seed=args.seed))
     check("qubit-closed-vs-optimizer", abs(closed - rep.value) < 1e-6,
           f"closed={closed:.9f} optimize={rep.value:.9f}")
-    cost = sdp.choi_cost(sys_rand)
+    cost = sdp.choi_cost(mm, sys_rand.energy())
     try:
         bound, _ = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
         check("sdp-qubit-tight", abs(bound - closed) < 1e-4,

@@ -5,7 +5,7 @@ reachable by conjugating rho with a unitary, which by the trace inequality
 pairs the populations sorted downward with the levels sorted upward.  The
 classical bipartite analogue, where only the row index of a joint
 distribution may be permuted, is a linear assignment problem and is solved
-exactly by a Hungarian algorithm.
+exactly by scipy's linear_sum_assignment.
 """
 
 from __future__ import annotations
@@ -93,58 +93,18 @@ def classical_ergotropy(p, eps) -> float:
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum-cost assignment on a square matrix (Hungarian, O(n^3)).
+    """Exact minimum-cost assignment on a square matrix.
 
-    Returns (col, total) where row i is assigned to column col[i].
-    Shortest-augmenting-path formulation with row/column potentials.
+    Returns (col, total) where row i is assigned to column col[i].  scipy is
+    imported here, not at module load, so the CLI starts without it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
-    n = cost.shape[0]
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    way = np.zeros(n + 1, dtype=np.intp)
-    match = np.full(n + 1, n, dtype=np.intp)  # match[j] = row assigned to col j
-    for i in range(n):
-        match[n] = i
-        j0 = n
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = -1
-            for j in range(n):
-                if used[j]:
-                    continue
-                cur = cost[i0, j] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == n:
-                break
-        while j0 != n:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col = np.empty(n, dtype=np.intp)
-    for j in range(n):
-        col[match[j]] = j
-    total = float(cost[np.arange(n), col].sum())
-    return col, total
+    rows, col = linear_sum_assignment(cost)
+    return col, float(cost[rows, col].sum())
 
 
 def classical_local_ergotropy(p: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,15 +1,17 @@
 """The two iterative solvers, in plain numpy on the cost operator C.
 
-Both work on the d_S^2 x d_S^2 Hermitian cost operator C of sdp.choi_cost,
-so their cost per iteration does not depend on d_E.  For a local unitary U,
-with vec(U) = U.T.ravel(),
+Both work on the d_S^2 x d_S^2 Hermitian cost operator C that
+sdp.choi_cost builds from the trace-form matrix M and Tr[H rho], so their
+cost per iteration does not depend on d_E.  For a local unitary U, with
+vec(U) = U.T.ravel(),
 
     Tr[H (rho - (U x I) rho (U x I)†)] = Tr[H rho] - vec(U)† C vec(U),
 
 which the Riemannian ascent over U(d_S) maximises; the operator-splitting
 solver minimises Tr[C E] over the unital bimarginal set that relaxes the
-unitary orbit.  Operators on S x S' are indexed (a, s) with a the input-copy
-factor, so W.reshape(d, d, d, d)[a, s, b, t] = W[(a, s), (b, t)].
+unitary orbit, on which Tr[C E] is the energy after the unital channel.
+Operators on S x S' are indexed (a, s) with a the input-copy factor, so
+W.reshape(d, d, d, d)[a, s, b, t] = W[(a, s), (b, t)].
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ Bloch form the objective is Tr[O_U M - M] over the orthogonal images O_U.
 For a qubit S the image set is all of SO(3) and a polar decomposition gives
 the exact optimum; for d_S >= 3 the same expression over SO(d_S^2-1) is an
 upper bound and the optimum is found by gradient ascent on the d_S^2-square
-cost operator of sdp.choi_cost.  Given a solved unital relaxation, the ascent
-starts from the unitary read off its optimum and stops there when the result
-meets the relaxation's certified bound; otherwise it runs seeded restarts.
+cost operator that sdp.choi_cost builds from M and Tr[H rho], so M is the
+only reduction of (rho, H) in the package.  Given a solved unital
+relaxation, the ascent starts from the unitary read off its optimum and
+stops there when the result meets the relaxation's certified bound;
+otherwise it runs seeded restarts.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def optimize_local_unitary(
     drawn from the seeded generator, cfg.restarts in total.  The result is
     the pure maximum over every ascent run, deterministic for a fixed
     (seed, restarts) pair.  Every ascent runs on the cost operator C, built
-    once per call or taken from the relaxation.
+    once per call from M and Tr[H rho] or taken from the relaxation.
     """
     cfg = cfg or OptimizerConfig()
     d_s, d_e = system.d_s, system.d_e
@@ -232,7 +234,7 @@ def optimize_local_unitary(
     while len(starts) < cfg.restarts:
         starts.append(haar_unitary(d_s, rng))
     if relaxation is None:
-        cost, bound = sdp.choi_cost(system), None
+        cost, bound = sdp.choi_cost(build_m_matrix(system), system.energy()), None
     else:
         cost, sol, tol = relaxation
         bound = cost.energy - sol.dual_value

@@ -48,18 +48,15 @@ _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |excited><ground|
 
 
 class HamiltonianParts(NamedTuple):
-    """Split Hamiltonian (h_s, h_e, v) of a bipartite model."""
+    """Split Hamiltonian (h_s, h_e, v) of a bipartite model.
+
+    The total Hamiltonian has one definition,
+    BipartiteSystem.total_hamiltonian.
+    """
 
     h_s: np.ndarray
     h_e: np.ndarray
     v: np.ndarray
-
-    def total(self, d_s: int, d_e: int) -> np.ndarray:
-        return (
-            tensor_product(self.h_s, np.eye(d_e))
-            + tensor_product(np.eye(d_s), self.h_e)
-            + self.v
-        )
 
 
 class AnalyticTriple(NamedTuple):

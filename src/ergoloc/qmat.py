@@ -187,6 +187,10 @@ class BipartiteSystem:
             + self.v
         )
 
+    def energy(self) -> float:
+        """Tr[rho H] as sum_ij conj(H_ij) rho_ij, in O(n^2) for Hermitian H."""
+        return float(np.vdot(self.total_hamiltonian(), self.rho).real)
+
 
 # ---------------------------------------------------------------------------
 # JSON matrix format used by the CLI:

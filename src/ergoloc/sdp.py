@@ -4,16 +4,27 @@ Replacing the local unitary orbit by the (strictly larger) set of unital
 channels turns the minimization into a semidefinite program over channel
 representations E on S x S':
 
-    bound = Tr[H rho] - min { Tr[C E] : E >= 0, Tr_S E = I, Tr_S' E = I }
+    bound = Tr[H rho] - min { Tr[C E] : E >= 0, Tr_S E = I, Tr_S' E = I }.
 
-with the cost operator C = Tr_E[rho^{T_S} H_{S'E}].  For a channel Phi with
-representation E^Phi = sum_{a,a'} |a><a'| x Phi(|a><a'|) the identity
-Tr[H (Phi x id)(rho)] = Tr[C E^Phi] holds exactly, which is what the tests
-validate.  For d_S = 2 unital channels are exactly mixtures of unitaries, so
-the bound coincides with the closed qubit formula.  For d_S >= 3 it is an
-upper bound that is exact on random instances but not everywhere; exactness
-is certified per instance by local.optimize_local_unitary, which rounds the
-optimum E to a unitary and compares its value with the bound.
+The cost operator is built from the trace-form matrix M of local.py and the
+energy e0 = Tr[H rho] alone, with no d_E-sized work:
+
+    C = (e0 + Tr M)/d I - (1/2) sum_ij M_ji (s_j^T x s_i),
+
+over the GPO basis s of S, indexed (a, s) as in kernels.py.  Then
+vec(U)† C vec(U) = e0 - Tr[O_U M - M] for every unitary U, and Tr[C E] takes
+the same value as Tr[H (Phi x id)(rho)] on every unital channel Phi with
+representation E.  The dense contraction Tr_E[rho^{T_S} H_{S'E}] differs
+from C only by A x I, I x B (A, B traceless) and a multiple of I, which are
+constant on unitaries and on the unital bimarginal set; "equivalent on the
+unital set" means exactly this.  Both operators give the same SDP, and C is
+its canonical representative: both of its partial traces are multiples of
+I, and h_E enters only through e0.  For d_S = 2
+unital channels are exactly mixtures of unitaries, so the bound coincides
+with the closed qubit formula.  For d_S >= 3 it is an upper bound that is
+exact on random instances but not everywhere; exactness is certified per
+instance by local.optimize_local_unitary, which rounds the optimum E to a
+unitary and compares its value with the bound.
 """
 
 from __future__ import annotations
@@ -24,14 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .gpo import gpo_basis
 from .qmat import hermitize, matrix_from_json, matrix_to_json
 
 __all__ = [
     "ChoiCost",
     "SdpSolution",
     "choi_cost",
-    "choi_matrix",
-    "apply_channel_local",
     "sdp_upper_bound",
     "export_instance",
     "import_instance",
@@ -71,44 +81,17 @@ class SdpSolution:
     dual_value: float = float("nan")
 
 
-def choi_cost(system) -> ChoiCost:
-    """C = Tr_E[rho^{T_S} H_{S'E}] contracted index-wise.
+def choi_cost(mm, energy: float) -> ChoiCost:
+    """C from the trace-form matrix mm (a local.MMatrix) and e0 = Tr[H rho].
 
-    C_{(a,s),(a',s')} = sum_{e,f} rho_{(a',e),(a,f)} H_{(s,f),(s',e)}.
+    C_{(a,s),(b,t)} = (e0 + Tr M)/d delta_ab delta_st
+                      - (1/2) sum_ij M_ji (s_j)_{ba} (s_i)_{st}.
     """
-    d_s, d_e = system.d_s, system.d_e
-    rho4 = system.rho.reshape(d_s, d_e, d_s, d_e)
-    h4 = system.total_hamiltonian().reshape(d_s, d_e, d_s, d_e)
-    c = np.einsum("beaf,sfte->asbt", rho4, h4).reshape(d_s * d_s, d_s * d_s)
-    return ChoiCost(hermitize(c), d_s)
-
-
-def choi_matrix(kraus) -> np.ndarray:
-    """Channel representation sum_{a,a'} |a><a'| x sum_m K_m |a><a'| K_m†.
-
-    Input-copy factor first; trace preservation reads Tr_S' E = I, unitality
-    Tr_S E = I.
-    """
-    kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    d = kraus[0].shape[0]
-    omega = np.zeros(d * d, dtype=np.complex128)
-    omega[:: d + 1] = 1.0
-    e = np.zeros((d * d, d * d), dtype=np.complex128)
-    ident = np.eye(d, dtype=np.complex128)
-    for k in kraus:
-        v = np.kron(ident, k) @ omega
-        e += np.outer(v, v.conj())
-    return e
-
-
-def apply_channel_local(kraus, rho, d_s: int, d_e: int) -> np.ndarray:
-    """(Phi x id)(rho) for a channel given by Kraus operators on S."""
-    out = np.zeros_like(np.asarray(rho, dtype=np.complex128))
-    ident = np.eye(d_e, dtype=np.complex128)
-    for k in kraus:
-        w = np.kron(np.asarray(k, dtype=np.complex128), ident)
-        out += w @ rho @ w.conj().T
-    return out
+    d = mm.d_s
+    s = gpo_basis(d).elements
+    c = -0.5 * np.einsum("ji,jba,ist->asbt", mm.m, s, s).reshape(d * d, d * d)
+    c[np.diag_indices(d * d)] += (energy + np.trace(mm.m)) / d
+    return ChoiCost(hermitize(c), d)
 
 
 def sdp_upper_bound(

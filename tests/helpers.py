@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize
 
-from ergoloc import ergotropy, gpo, local, models, qmat
+from ergoloc import ergotropy, gpo, local, models, qmat, sdp
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,6 +38,59 @@ def random_system(d_s, d_e, rng, v_scale=1.0, h_scale=1.0, rank=None):
         qmat.random_hermitian(d_e, rng, scale=h_scale),
         random_coupling(d_s, d_e, rng, scale=v_scale),
     )
+
+
+def model_hamiltonian(parts, d_s, d_e):
+    """Total Hamiltonian of a model's (h_s, h_e, v) from its one definition."""
+    n = d_s * d_e
+    return qmat.BipartiteSystem.build(d_s, d_e, np.eye(n) / n, *parts).total_hamiltonian()
+
+
+def cost_from_m(system):
+    """The production cost operator: C built from M and Tr[H rho]."""
+    return sdp.choi_cost(local.build_m_matrix(system), system.energy())
+
+
+def dense_choi_cost(system):
+    """Oracle C = Tr_E[rho^{T_S} H_{S'E}] contracted index-wise from the dense H.
+
+    C_{(a,s),(a',s')} = sum_{e,f} rho_{(a',e),(a,f)} H_{(s,f),(s',e)}.  For any
+    channel Phi, Tr[C E^Phi] = Tr[H (Phi x id)(rho)] exactly; the production
+    C agrees with it only on unitaries and unital channels.
+    """
+    d_s, d_e = system.d_s, system.d_e
+    rho4 = system.rho.reshape(d_s, d_e, d_s, d_e)
+    h4 = system.total_hamiltonian().reshape(d_s, d_e, d_s, d_e)
+    c = np.einsum("beaf,sfte->asbt", rho4, h4).reshape(d_s * d_s, d_s * d_s)
+    return sdp.ChoiCost(qmat.hermitize(c), d_s)
+
+
+def choi_matrix(kraus):
+    """Channel representation sum_{a,a'} |a><a'| x sum_m K_m |a><a'| K_m†.
+
+    Input-copy factor first; trace preservation reads Tr_S' E = I, unitality
+    Tr_S E = I.
+    """
+    kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    d = kraus[0].shape[0]
+    omega = np.zeros(d * d, dtype=np.complex128)
+    omega[:: d + 1] = 1.0
+    e = np.zeros((d * d, d * d), dtype=np.complex128)
+    ident = np.eye(d, dtype=np.complex128)
+    for k in kraus:
+        v = np.kron(ident, k) @ omega
+        e += np.outer(v, v.conj())
+    return e
+
+
+def apply_channel_local(kraus, rho, d_s, d_e):
+    """(Phi x id)(rho) for a channel given by Kraus operators on S."""
+    out = np.zeros_like(np.asarray(rho, dtype=np.complex128))
+    ident = np.eye(d_e, dtype=np.complex128)
+    for k in kraus:
+        w = np.kron(np.asarray(k, dtype=np.complex128), ident)
+        out += w @ rho @ w.conj().T
+    return out
 
 
 def direct_objective(system, u):

@@ -35,6 +35,7 @@ from ergoloc import ergotropy, gpo, local, models, qmat, sdp
 from helpers import (
     SZ,
     brute_local_max,
+    cost_from_m,
     direct_objective,
     max_entangled_two_level,
     random_system,
@@ -96,7 +97,7 @@ def test_acceptance_01_jc_closed_form_reproduction():
             else:
                 # quoted value too high: no unital channel reaches it
                 energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-                bound, _ = sdp.sdp_upper_bound(sdp.choi_cost(system), energy, tol=1e-7)
+                bound, _ = sdp.sdp_upper_bound(cost_from_m(system), energy, tol=1e-7)
                 margin = stated - (bound + 1e-5)
                 above.append(margin)
                 if margin <= 0.0:
@@ -386,14 +387,14 @@ def test_acceptance_07_sdp_tightness():
         system = random_system(2, d_e, rng, v_scale=rng.uniform(0.3, 1.5))
         closed = local.qubit_local_ergotropy(local.build_m_matrix(system)).value
         rho_energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-        bound, _ = sdp.sdp_upper_bound(sdp.choi_cost(system), rho_energy, tol=1e-7)
+        bound, _ = sdp.sdp_upper_bound(cost_from_m(system), rho_energy, tol=1e-7)
         worst_d2 = max(worst_d2, abs(bound - closed))
         lowest_d2 = min(lowest_d2, bound - closed)
     worst_d3 = np.inf
     for i in range(50):
         system = random_system(3, 3, rng, v_scale=rng.uniform(0.3, 1.5))
         rho_energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-        bound, _ = sdp.sdp_upper_bound(sdp.choi_cost(system), rho_energy, tol=1e-7)
+        bound, _ = sdp.sdp_upper_bound(cost_from_m(system), rho_energy, tol=1e-7)
         rep = local.optimize_local_unitary(system, local.OptimizerConfig(restarts=8, seed=i))
         worst_d3 = min(worst_d3, bound - rep.value)
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,7 @@ from helpers import (
     brute_assignment_min,
     brute_local_max,
     max_entangled_two_level,
+    model_hamiltonian,
     random_coupling,
     random_system,
 )
@@ -37,7 +38,7 @@ def test_global_qubit_brute_force():
 def test_global_pure_state_reaches_ground():
     p = models.JcParams(1.0, 1.2, 0.4, 6)
     psi, _ = models.jc_dressed_state(p, 2, +1)
-    h = models.jc_system(p).total(2, p.n_max + 1)
+    h = model_hamiltonian(models.jc_system(p), 2, p.n_max + 1)
     rho = np.outer(psi, psi.conj())
     rep = ergotropy.global_ergotropy(rho, h)
     ground = np.linalg.eigvalsh(h)[0]

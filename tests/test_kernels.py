@@ -3,14 +3,14 @@ dense functional, and degenerate instances give the trivial answer."""
 
 import numpy as np
 
-from ergoloc import kernels, local, qmat, sdp
-from helpers import random_system
+from ergoloc import kernels, local, qmat
+from helpers import cost_from_m, random_system
 
 
 def _reduced(system):
     """(C, Tr[H rho]) for the ascent kernel."""
     e0 = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-    return sdp.choi_cost(system).c, e0
+    return cost_from_m(system).c, e0
 
 
 def test_ascent_value_matches_dense_objective():

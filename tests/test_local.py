@@ -4,6 +4,7 @@ import pytest
 from ergoloc import ergotropy, gpo, kernels, local, models, qmat, sdp
 from helpers import (
     brute_local_max,
+    cost_from_m,
     direct_objective,
     non_tight_qutrit_fixtures,
     random_system,
@@ -259,7 +260,7 @@ def test_gradient_matches_central_differences():
         system = random_system(d_s, d_e, rng)
         u0 = qmat.haar_unitary(d_s, rng)
         e0 = float(np.trace(system.rho @ system.total_hamiltonian()).real)
-        _, grad, _ = kernels._value_and_gradient(sdp.choi_cost(system).c, e0, u0)
+        _, grad, _ = kernels._value_and_gradient(cost_from_m(system).c, e0, u0)
         eps = 1e-5
         basis = []
         for i in range(d_s):
@@ -339,7 +340,7 @@ def test_optimizer_config_validation():
 
 
 def _relaxation(system, tol=1e-7):
-    cost = sdp.choi_cost(system)
+    cost = cost_from_m(system)
     bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=tol)
     return bound, (cost, sol, tol)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergoloc import ergotropy, local, models, qmat
-from helpers import brute_local_max
+from helpers import brute_local_max, model_hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_jc_partial_traces_vanish():
 def test_jc_block_spectrum():
     # each excitation block contributes omega_e (n + 1/2) +- splitting/2
     p = models.JcParams(1.0, 1.3, 0.4, 8)
-    h = models.jc_system(p).total(2, p.n_max + 1)
+    h = model_hamiltonian(models.jc_system(p), 2, p.n_max + 1)
     w = np.linalg.eigvalsh(h)
     expected = [-p.omega_s / 2]  # |gnd>|0>
     for n in range(p.n_max):
@@ -49,7 +49,7 @@ def test_jc_block_spectrum():
 def test_dressed_states_are_eigenvectors():
     for omega_e in (0.7, 1.0, 1.2):
         p = models.JcParams(1.0, omega_e, 0.3, 9)
-        h = models.jc_system(p).total(2, p.n_max + 1)
+        h = model_hamiltonian(models.jc_system(p), 2, p.n_max + 1)
         for n in (0, 2, 5):
             for sign in (+1, -1):
                 psi, energy = models.jc_dressed_state(p, n, sign)
@@ -219,7 +219,7 @@ def test_phase_family_sweep_has_zeros_and_arcs_at_small_alpha():
 def test_xxz_all_down_energy():
     for n in (3, 4, 6):
         p = models.XxzParams(n, 1.0, 0.05, 0.2)
-        h = models.xxz_system(p).total(2, 2 ** (n - 1))
+        h = model_hamiltonian(models.xxz_system(p), 2, 2 ** (n - 1))
         down = np.zeros(2**n, dtype=complex)
         down[-1] = 1.0
         e = np.vdot(down, h @ down).real
@@ -228,7 +228,7 @@ def test_xxz_all_down_energy():
 
 def test_xxz_conserves_total_sz():
     p = models.XxzParams(4, 1.0, 0.1, 0.3)
-    h = models.xxz_system(p).total(2, 8)
+    h = model_hamiltonian(models.xxz_system(p), 2, 8)
     sz_total = np.zeros((16, 16), dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
     for site in range(4):
@@ -241,7 +241,7 @@ def test_xxz_conserves_total_sz():
 
 def test_xxz_ising_limit_diagonal():
     p = models.XxzParams(4, 1.0, 0.0, 0.3)
-    h = models.xxz_system(p).total(2, 8)
+    h = model_hamiltonian(models.xxz_system(p), 2, 8)
     assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14
 
 
@@ -254,7 +254,7 @@ def test_bethe_states_eigenvectors_and_orthonormal():
     p = models.XxzParams(6, 1.0, 0.1, 0.4)
     ks = list(range(-2, 4))
     states = [models.xxz_bethe_state(p, k) for k in ks]
-    h = models.xxz_system(p).total(2, 32)
+    h = model_hamiltonian(models.xxz_system(p), 2, 32)
     for k, psi in zip(ks, states):
         e_k = models.xxz_bethe_energy(p, k)
         assert np.linalg.norm(h @ psi - e_k * psi) <= 1e-10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergoloc import qmat
-from helpers import I2, SX, SZ, random_coupling
+from helpers import I2, SX, SZ, random_coupling, random_system
 
 
 def test_tensor_identity():
@@ -224,3 +224,11 @@ def test_positivity_boundary(n):
         else:
             with pytest.raises(ValueError, match="min eig"):
                 qmat.BipartiteSystem.build(2, n // 2, rho, np.zeros((2, 2)), h_e)
+
+
+def test_energy_matches_dense_trace():
+    rng = np.random.default_rng(31)
+    for d_s, d_e, rank in ((2, 3, None), (3, 8, 1), (4, 16, None), (2, 64, 1)):
+        system = random_system(d_s, d_e, rng, rank=rank)
+        dense = np.trace(system.rho @ system.total_hamiltonian()).real
+        assert abs(system.energy() - dense) < 1e-12

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ergoloc import local, qmat, sdp
-from helpers import random_system
+from helpers import (
+    apply_channel_local,
+    choi_matrix,
+    cost_from_m,
+    dense_choi_cost,
+    random_system,
+)
 
 
 def _rho_energy(system):
@@ -20,8 +26,8 @@ def test_choi_identity_channel():
     rng = np.random.default_rng(0)
     for d_s, d_e in ((2, 3), (3, 4)):
         system = random_system(d_s, d_e, rng)
-        cost = sdp.choi_cost(system)
-        e_id = sdp.choi_matrix([np.eye(d_s)])
+        cost = cost_from_m(system)
+        e_id = choi_matrix([np.eye(d_s)])
         assert abs(np.trace(cost.c @ e_id).real - _rho_energy(system)) < 1e-11
         assert abs(cost.energy - _rho_energy(system)) < 1e-11
 
@@ -29,7 +35,7 @@ def test_choi_identity_channel():
 def test_choi_cost_hermitian():
     rng = np.random.default_rng(1)
     system = random_system(3, 2, rng)
-    c = sdp.choi_cost(system).c
+    c = cost_from_m(system).c
     assert qmat.hermiticity_drift(c) < 1e-12
 
 
@@ -38,11 +44,11 @@ def test_choi_identity_random_channels(d_s, d_e, n_ops):
     rng = np.random.default_rng(d_s + 10 * d_e + n_ops)
     for _ in range(5):
         system = random_system(d_s, d_e, rng)
-        cost = sdp.choi_cost(system)
+        cost = dense_choi_cost(system)
         kraus = _random_kraus(d_s, n_ops, rng)
-        e_phi = sdp.choi_matrix(kraus)
+        e_phi = choi_matrix(kraus)
         lhs = np.trace(cost.c @ e_phi).real
-        rho_out = sdp.apply_channel_local(kraus, system.rho, d_s, d_e)
+        rho_out = apply_channel_local(kraus, system.rho, d_s, d_e)
         rhs = np.trace(system.total_hamiltonian() @ rho_out).real
         assert abs(lhs - rhs) < 1e-9
 
@@ -54,12 +60,80 @@ def test_choi_decoupled_cost():
         2, 3, qmat.random_density(6, rng), qmat.random_hermitian(2, rng),
         qmat.random_hermitian(3, rng), None,
     )
-    cost = sdp.choi_cost(system)
+    cost = dense_choi_cost(system)
     kraus = _random_kraus(2, 2, rng)
-    e_phi = sdp.choi_matrix(kraus)
+    e_phi = choi_matrix(kraus)
     rho_s_out = sum(k @ system.rho_s() @ k.conj().T for k in kraus)
     expected = np.trace(system.h_s @ rho_s_out).real + np.trace(system.h_e @ system.rho_e()).real
     assert abs(np.trace(cost.c @ e_phi).real - expected) < 1e-10
+
+
+def _with_s_local_part(system, rng):
+    """The same instance with a traceless A x I added to V."""
+    d_s, d_e = system.d_s, system.d_e
+    a = qmat.random_hermitian(d_s, rng)
+    a -= np.trace(a) / d_s * np.eye(d_s)
+    v = system.v + np.kron(a, np.eye(d_e))
+    return qmat.BipartiteSystem.build(d_s, d_e, system.rho, system.h_s, system.h_e, v)
+
+
+@pytest.mark.parametrize(
+    "d_s,d_e,rank,s_local",
+    [
+        (2, 3, None, False),
+        (2, 32, 1, True),
+        (3, 4, None, True),
+        (3, 8, 1, False),
+        (4, 4, None, False),
+        (4, 32, 1, True),
+    ],
+)
+def test_choi_cost_matches_dense_oracle(d_s, d_e, rank, s_local):
+    # C built from M agrees with the dense contraction on unitaries and on
+    # mixed-unitary channels, and both give the same SDP solve
+    rng = np.random.default_rng(40 + 10 * d_s + d_e)
+    system = random_system(d_s, d_e, rng, rank=rank)
+    if s_local:
+        system = _with_s_local_part(system, rng)
+    cost, oracle = cost_from_m(system), dense_choi_cost(system)
+    assert abs(cost.energy - oracle.energy) < 1e-12
+    for _ in range(5):
+        x = qmat.haar_unitary(d_s, rng).T.ravel()
+        assert abs(np.vdot(x, cost.c @ x) - np.vdot(x, oracle.c @ x)) < 1e-12
+    weights = rng.dirichlet(np.ones(4))
+    e_mix = choi_matrix([np.sqrt(w) * qmat.haar_unitary(d_s, rng) for w in weights])
+    assert abs(np.trace(cost.c @ e_mix) - np.trace(oracle.c @ e_mix)) < 1e-12
+    bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
+    bound_oracle, sol_oracle = sdp.sdp_upper_bound(oracle, oracle.energy, tol=1e-7)
+    assert abs(bound - bound_oracle) < 1e-8
+    assert sol.iterations == sol_oracle.iterations
+
+
+def test_choi_cost_ignores_h_e_and_has_identity_marginals():
+    # the canonical representative: a change of h_E that keeps Tr[H rho]
+    # leaves C as it is, and both partial traces of C are multiples of I;
+    # the dense oracle has neither property
+    rng = np.random.default_rng(41)
+    d_s, d_e = 3, 4
+    system = _with_s_local_part(random_system(d_s, d_e, rng), rng)
+    g = qmat.random_hermitian(d_e, rng)
+    dh = g - np.trace(system.rho_e() @ g).real * np.eye(d_e)
+    moved = qmat.BipartiteSystem.build(
+        d_s, d_e, system.rho, system.h_s, system.h_e + dh, system.v
+    )
+    assert np.max(np.abs(cost_from_m(moved).c - cost_from_m(system).c)) < 1e-12
+    assert np.max(np.abs(dense_choi_cost(moved).c - dense_choi_cost(system).c)) > 1e-3
+
+    def marginal_offsets(c):
+        offsets = []
+        for side in ("S", "E"):
+            marginal = qmat.partial_trace(c, d_s, d_s, side)
+            scalar = np.trace(marginal) / d_s
+            offsets.append(np.max(np.abs(marginal - scalar * np.eye(d_s))))
+        return offsets
+
+    assert max(marginal_offsets(cost_from_m(system).c)) < 1e-12
+    assert min(marginal_offsets(dense_choi_cost(system).c)) > 1e-3
 
 
 def test_bound_zero_cost():
@@ -73,7 +147,7 @@ def test_bound_matches_qubit_closed_formula():
     for seed in range(10):
         system = random_system(2, int(rng.integers(2, 5)), rng)
         closed = local.qubit_local_ergotropy(local.build_m_matrix(system)).value
-        bound, sol = sdp.sdp_upper_bound(sdp.choi_cost(system), _rho_energy(system), tol=1e-7)
+        bound, sol = sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system), tol=1e-7)
         assert abs(bound - closed) < 1e-5
         assert sol.iterations > 0
 
@@ -87,7 +161,7 @@ def test_bound_no_coupling_reduces_to_free_ergotropy():
         2, 3, rho, qmat.random_hermitian(2, rng), qmat.random_hermitian(3, rng), None
     )
     free = ergotropy.global_ergotropy(system.rho_s(), system.h_s).value
-    bound, _ = sdp.sdp_upper_bound(sdp.choi_cost(system), _rho_energy(system), tol=1e-7)
+    bound, _ = sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system), tol=1e-7)
     assert abs(bound - free) < 1e-5
 
 
@@ -95,7 +169,7 @@ def test_bound_dominates_optimizer_d3():
     rng = np.random.default_rng(8)
     for seed in range(3):
         system = random_system(3, 2, rng)
-        bound, _ = sdp.sdp_upper_bound(sdp.choi_cost(system), _rho_energy(system), tol=1e-7)
+        bound, _ = sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system), tol=1e-7)
         rep = local.optimize_local_unitary(system, local.OptimizerConfig(restarts=10, seed=seed))
         assert bound >= rep.value - 1e-6
 
@@ -104,7 +178,7 @@ def test_solution_feasibility_and_gap():
     rng = np.random.default_rng(9)
     system = random_system(2, 4, rng)
     tol = 1e-7
-    bound, sol = sdp.sdp_upper_bound(sdp.choi_cost(system), _rho_energy(system), tol=tol)
+    bound, sol = sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system), tol=tol)
     d = system.d_s
     w = np.linalg.eigvalsh(sol.e)
     assert w[0] >= -1e-7
@@ -121,7 +195,7 @@ def test_nonconvergence_raises_with_iterate():
     rng = np.random.default_rng(10)
     system = random_system(2, 2, rng)
     with pytest.raises(sdp.NonConvergenceError) as err:
-        sdp.sdp_upper_bound(sdp.choi_cost(system), _rho_energy(system),
+        sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system),
                             tol=1e-13, max_iterations=40)
     assert err.value.solution.iterations == 40
 
@@ -129,7 +203,7 @@ def test_nonconvergence_raises_with_iterate():
 def test_export_import_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     system = random_system(2, 3, rng)
-    cost = sdp.choi_cost(system)
+    cost = cost_from_m(system)
     energy = _rho_energy(system)
     path = tmp_path / "instance.json"
     sdp.export_instance(path, cost, energy)
