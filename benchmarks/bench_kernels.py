@@ -2,10 +2,11 @@
 
 Run:  python benchmarks/bench_kernels.py
 
-Times the local-unitary ascent and the unital-bound solver, both on the
-cost operator C that sdp.choi_cost builds from M and Tr[H rho], the whole local optimizer at
+Times the local-unitary ascent and the interior-point solve of the
+unital-channel SDP at d_S = 2, 3 and 4, both on the cost operator C that
+sdp.choi_cost builds from M and Tr[H rho], the whole local optimizer at
 (d_S, d_E) = (3, 3) with its 32 default restarts and with a solved
-relaxation to round (the solve itself is the "admm d_s=3" case), and the
+relaxation to round (the solve itself is the "sdp solve d_s=3" case), and the
 2000-point atom-cavity phase sweep of `ergoloc jc` (three anchor
 reductions, the probe check and the batched evaluation), best of five warm
 runs each.
@@ -61,12 +62,12 @@ def bench_ascent(repeats=5):
     return _time(run, repeats)
 
 
-def bench_admm(d_s, repeats=5):
+def bench_sdp(d_s, repeats=5):
     system = _random_system(d_s, 3, seed=11)
     cost = _cost(system)
 
     def run():
-        kernels.admm_kernel(cost.c, d_s, 1e-7, 200000)
+        kernels.admm_kernel(cost.c, d_s, 1e-7, 100)
 
     run()
     return _time(run, repeats)
@@ -101,8 +102,9 @@ def bench_jc_sweep(repeats=5):
 def main():
     rows = [
         ("ascent 2x6", bench_ascent()),
-        ("admm d_s=2", bench_admm(2)),
-        ("admm d_s=3", bench_admm(3)),
+        ("sdp solve d_s=2", bench_sdp(2)),
+        ("sdp solve d_s=3", bench_sdp(3)),
+        ("sdp solve d_s=4", bench_sdp(4)),
         ("optimize 3x3, restarts", bench_optimize(False)),
         ("optimize 3x3, rounded", bench_optimize(True)),
         ("jc sweep 2000", bench_jc_sweep()),

@@ -132,7 +132,7 @@ def cmd_local(args) -> int:
     )
     values: dict[str, float] = {}
     details: dict[str, dict] = {}
-    mm = local.build_m_matrix(system)
+    mm = None if method == "optimize" else local.build_m_matrix(system)
     if method in ("closed", "all") and args.ds == 2:
         values["closed"] = local.qubit_local_ergotropy(mm).value
     # the relaxation is solved before the optimizer, which rounds it
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--de", type=int, required=True)
     e.add_argument("--solve", action="store_true", help="round-trip through the solver")
     e.add_argument("--tol", type=float, default=1e-7)
-    e.add_argument("--max-iterations", type=int, default=200000)
+    e.add_argument("--max-iterations", type=int, default=100)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=cmd_export_sdp)
 

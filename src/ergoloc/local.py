@@ -213,7 +213,7 @@ def optimize_local_unitary(
     result is returned as certified, and no restart runs, when the polish
     converged and its value is at least B - 10 tol, where
     B = Tr[H rho] - sol.dual_value is the bound certified by the solver's
-    feasible dual point and 10 tol the duality gap it certifies on stopping.
+    dual point and 10 tol ten times the largest duality gap it stops at.
 
     Otherwise, or without a relaxation, the ascent runs from seeded start
     points: the identity, the optimizer of the decoupled problem (the

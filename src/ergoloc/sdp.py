@@ -50,7 +50,7 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Solver failed to meet the residual targets within the iteration cap."""
+    """Solver stopped, at its cap or on breakdown, without meeting its stopping rule."""
 
     def __init__(self, message, solution):
         super().__init__(message)
@@ -98,16 +98,14 @@ def sdp_upper_bound(
     cost: ChoiCost,
     rho_energy: float,
     tol: float = 1e-7,
-    max_iterations: int = 200000,
+    max_iterations: int = 100,
 ) -> tuple[float, SdpSolution]:
     """Upper bound rho_energy - min Tr[C E] over the unital bimarginal set.
 
-    First-order operator splitting (PSD projection by eigendecomposition,
-    closed-form projection onto the bimarginal affine subspace,
-    over-relaxation, adaptive penalty).  Termination requires primal and
-    dual residuals <= tol and a certified duality gap <= 10 tol; hitting the
-    iteration cap raises NonConvergenceError carrying the best iterate so the
-    caller may loosen tol.
+    The interior-point kernels.admm_kernel stops when both residual norms and
+    the gap Tr[C E] - dual_value are <= tol.  The bound is rho_energy -
+    dual_value, certified at any iterate.  A stop without that rule met, at
+    the cap or on breakdown, raises NonConvergenceError carrying the iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -122,13 +120,14 @@ def sdp_upper_bound(
         iterations=int(iters),
         dual_value=float(dual),
     )
-    if max(rp, rd) > tol:
+    gap = sol.objective - sol.dual_value
+    if not max(rp, rd, gap) <= tol:
         raise NonConvergenceError(
-            f"residuals ({rp:.2e}, {rd:.2e}) above tol={tol:.2e} "
-            f"after {iters} iterations",
+            f"residuals ({rp:.2e}, {rd:.2e}) and gap {gap:.2e} not all within "
+            f"tol={tol:.2e} after {iters} iterations",
             sol,
         )
-    return float(rho_energy) - sol.objective, sol
+    return float(rho_energy) - sol.dual_value, sol
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,19 @@ def test_local_all_solves_the_relaxation_once_and_rounds_it(tmp_path, capsys, mo
     assert opt["restarts"] == 32
 
 
+@pytest.mark.parametrize("method", ["closed", "polar", "optimize", "sdp", "all"])
+def test_local_builds_m_once_per_invocation(tmp_path, capsys, monkeypatch, method):
+    system = random_system(2, 3, np.random.default_rng(22))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    builds = _counting(monkeypatch, local, "build_m_matrix")
+    code, _, _ = run_cli(
+        capsys, "local", "--state", state_f, "--hs", hs_f, "--v", v_f,
+        "--ds", "2", "--de", "3", "--method", method, "--restarts", "4",
+    )
+    assert code == 0
+    assert len(builds) == 1
+
+
 def test_local_all_non_tight_fixture_runs_restarts(tmp_path, capsys):
     _, rho, v, sdp_value, best = non_tight_qutrit_fixtures()[0]
     qmat.save_matrix(tmp_path / "rho.json", rho)
@@ -473,7 +486,7 @@ def test_export_sdp_nonconvergence_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "export-sdp", "--state", state_f, "--hs", hs_f, "--v", v_f,
         "--ds", "2", "--de", "2", "-o", str(tmp_path / "i.json"),
-        "--solve", "--tol", "1e-12", "--max-iterations", "15",
+        "--solve", "--tol", "1e-12", "--max-iterations", "5",
     )
     assert code == 3
     assert "converge" in err

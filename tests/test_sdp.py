@@ -3,6 +3,7 @@ import pytest
 
 from ergoloc import local, qmat, sdp
 from helpers import (
+    admm_oracle,
     apply_channel_local,
     choi_matrix,
     cost_from_m,
@@ -196,8 +197,44 @@ def test_nonconvergence_raises_with_iterate():
     system = random_system(2, 2, rng)
     with pytest.raises(sdp.NonConvergenceError) as err:
         sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system),
-                            tol=1e-13, max_iterations=40)
-    assert err.value.solution.iterations == 40
+                            tol=1e-13, max_iterations=5)
+    assert err.value.solution.iterations == 5
+
+
+def test_capped_solve_with_small_residuals_raises_on_the_gap():
+    # the interior-point iterates are feasible long before the duality gap
+    # closes: a solve stopped at its cap with both residuals <= tol has not
+    # converged, and the error carries the iterate
+    system = random_system(2, 2, np.random.default_rng(10))
+    tol = 1e-7
+    with pytest.raises(sdp.NonConvergenceError) as err:
+        sdp.sdp_upper_bound(cost_from_m(system), _rho_energy(system),
+                            tol=tol, max_iterations=5)
+    sol = err.value.solution
+    assert sol.iterations == 5
+    assert max(sol.primal_residual, sol.dual_residual) <= tol
+    assert sol.objective - sol.dual_value > tol
+
+
+@pytest.mark.parametrize("d_s", [2, 3, 4])
+def test_interior_point_matches_admm_oracle(d_s):
+    # the certified bound dominates the attained local value, agrees with the
+    # operator-splitting oracle, and at d_S = 2 sits within the gap above the
+    # closed formula
+    rng = np.random.default_rng(60 + d_s)
+    tol = 1e-7
+    for rank in (None, 1):
+        system = random_system(d_s, int(rng.integers(2, 9)), rng, rank=rank)
+        cost = cost_from_m(system)
+        bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=tol)
+        _, _, rp, rd, _, oracle_dual = admm_oracle(cost.c, d_s, tol, 200000)
+        assert max(rp, rd) <= tol
+        assert abs(bound - (cost.energy - oracle_dual)) < 1e-6
+        rep = local.optimize_local_unitary(system, relaxation=(cost, sol, tol))
+        assert bound >= local.local_objective(system, rep.optimal_unitary) - 1e-12
+        if d_s == 2:
+            closed = local.qubit_local_ergotropy(local.build_m_matrix(system)).value
+            assert -1e-12 <= bound - closed <= 10 * tol
 
 
 def test_export_import_roundtrip(tmp_path):
