@@ -5,11 +5,11 @@ Run:  python benchmarks/bench_kernels.py
 Times the local-unitary ascent and the interior-point solve of the
 unital-channel SDP at d_S = 2, 3 and 4, both on the cost operator C that
 sdp.choi_cost builds from M and Tr[H rho], the whole local optimizer at
-(d_S, d_E) = (3, 3) with its 32 default restarts and with a solved
-relaxation to round (the solve itself is the "sdp solve d_s=3" case), and the
-2000-point atom-cavity phase sweep of `ergoloc jc` (three anchor
-reductions, the probe check and the batched evaluation), best of five warm
-runs each.
+(d_S, d_E) = (3, 3) as a default call (build C, solve the relaxation, round
+and polish it) and as the restart-only fallback with its 32 restarts (C
+handed in without a solution), and the 2000-point atom-cavity phase sweep
+of `ergoloc jc` (three anchor reductions, the probe check and the batched
+evaluation), best of five warm runs each.
 """
 
 from __future__ import annotations
@@ -67,19 +67,15 @@ def bench_sdp(d_s, repeats=5):
     cost = _cost(system)
 
     def run():
-        kernels.admm_kernel(cost.c, d_s, 1e-7, 100)
+        kernels.admm_kernel(cost.c, d_s, sdp.DEFAULT_TOL, 100)
 
     run()
     return _time(run, repeats)
 
 
-def bench_optimize(relaxed, repeats=5):
+def bench_optimize(fallback, repeats=5):
     system = _random_system(3, 3, seed=13)
-    relaxation = None
-    if relaxed:
-        cost = _cost(system)
-        _, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
-        relaxation = (cost, sol, 1e-7)
+    relaxation = (_cost(system), None, sdp.DEFAULT_TOL) if fallback else None
 
     def run():
         local.optimize_local_unitary(system, relaxation=relaxation)
@@ -105,8 +101,8 @@ def main():
         ("sdp solve d_s=2", bench_sdp(2)),
         ("sdp solve d_s=3", bench_sdp(3)),
         ("sdp solve d_s=4", bench_sdp(4)),
-        ("optimize 3x3, restarts", bench_optimize(False)),
-        ("optimize 3x3, rounded", bench_optimize(True)),
+        ("optimize 3x3, default", bench_optimize(False)),
+        ("optimize 3x3, restarts only", bench_optimize(True)),
         ("jc sweep 2000", bench_jc_sweep()),
     ]
     width = max(len(r[0]) for r in rows)

@@ -3,9 +3,10 @@
 Verbs: global, local, jc, xxz, export-sdp, selftest.  Matrices travel as the
 JSON format documented in qmat.  Angles accept a "pi" suffix (0.4pi); sweeps
 are start:stop:steps with the same suffix rules.  Exit codes: 0 success,
-2 input error, 3 numerical non-convergence.  local --method all solves the
-unital relaxation first and hands it to the optimizer, which rounds it and
-runs its restarts only when the rounded value is not certified.  The jc
+2 input error, 3 numerical non-convergence.  Every local optimization
+rounds the unital relaxation first and runs its restarts only when the
+rounded value is not certified; local --method all solves the relaxation
+once and hands it, or its failure, to the optimizer.  The jc
 sweep evaluates every phase at once from three reductions and checks itself
 against the per-point pipeline at one probe phase (exit 3 on a mismatch);
 xxz computes its rows one after another on a ring Hamiltonian built once.
@@ -135,15 +136,18 @@ def cmd_local(args) -> int:
     mm = None if method == "optimize" else local.build_m_matrix(system)
     if method in ("closed", "all") and args.ds == 2:
         values["closed"] = local.qubit_local_ergotropy(mm).value
-    # the relaxation is solved before the optimizer, which rounds it
-    relaxation = sdp_error = None
+    # the relaxation is solved before the optimizer, which rounds it; a failed
+    # solve is handed over as sol = None, so the optimizer goes to its restarts
+    relaxation = sdp_error = sol = None
     if method in ("sdp", "all"):
         cost = sdp.choi_cost(mm, system.energy())
         try:
             bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=args.sdp_tol)
-            relaxation = (cost, sol, args.sdp_tol)
         except sdp.NonConvergenceError as exc:
             sdp_error = exc
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        relaxation = (cost, sol, args.sdp_tol)
     if method in ("optimize", "all"):
         rep = local.optimize_local_unitary(system, cfg, relaxation)
         values["optimize"] = rep.value
@@ -165,7 +169,7 @@ def cmd_local(args) -> int:
         }
         _emit(_json_dumps(payload), args.output)
         return EXIT_NUMERIC
-    if relaxation is not None:
+    if sol is not None:
         values["sdp"] = bound
         details["sdp"] = {
             "iterations": sol.iterations,
@@ -373,6 +377,8 @@ def cmd_export_sdp(args) -> int:
         except sdp.NonConvergenceError as exc:
             sys.stderr.write(f"solver did not converge: {exc}\n")
             return EXIT_NUMERIC
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         sys.stdout.write(
             _json_dumps({"bound": bound, "iterations": sol.iterations})
         )
@@ -406,16 +412,18 @@ def cmd_selftest(args) -> int:
     lhs = float(np.trace(o @ mm.m - mm.m))
     check("objective-identity", abs(lhs - local.local_objective(sys_rand, u)) < 1e-9)
     closed = local.qubit_local_ergotropy(mm).value
-    rep = local.optimize_local_unitary(sys_rand, local.OptimizerConfig(restarts=8, seed=args.seed))
-    check("qubit-closed-vs-optimizer", abs(closed - rep.value) < 1e-6,
-          f"closed={closed:.9f} optimize={rep.value:.9f}")
     cost = sdp.choi_cost(mm, sys_rand.energy())
     try:
-        bound, _ = sdp.sdp_upper_bound(cost, cost.energy, tol=1e-7)
-        check("sdp-qubit-tight", abs(bound - closed) < 1e-4,
-              f"bound={bound:.9f} closed={closed:.9f}")
+        bound, sol = sdp.sdp_upper_bound(cost, cost.energy)
+        sdp_note = f"bound={bound:.9f} closed={closed:.9f}"
     except sdp.NonConvergenceError as exc:
-        check("sdp-qubit-tight", False, str(exc))
+        bound, sol, sdp_note = np.nan, None, str(exc)
+    rep = local.optimize_local_unitary(
+        sys_rand, local.OptimizerConfig(restarts=8, seed=args.seed), (cost, sol, sdp.DEFAULT_TOL)
+    )
+    check("qubit-closed-vs-optimizer", abs(closed - rep.value) < 1e-6,
+          f"closed={closed:.9f} optimize={rep.value:.9f}")
+    check("sdp-qubit-tight", abs(bound - closed) < 1e-4, sdp_note)
     cost_rand = rng.normal(size=(5, 5))
     perm, total = ergotropy.solve_assignment(cost_rand)
     import itertools
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--restarts", type=int, default=32)
     l.add_argument("--max-iterations", type=int, default=5000)
     l.add_argument("--gtol", type=float, default=1e-9)
-    l.add_argument("--sdp-tol", type=float, default=1e-7)
+    l.add_argument("--sdp-tol", type=float, default=sdp.DEFAULT_TOL)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("-o", "--output")
     l.set_defaults(func=cmd_local)
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ds", type=int, required=True)
     e.add_argument("--de", type=int, required=True)
     e.add_argument("--solve", action="store_true", help="round-trip through the solver")
-    e.add_argument("--tol", type=float, default=1e-7)
+    e.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
     e.add_argument("--max-iterations", type=int, default=100)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=cmd_export_sdp)

@@ -10,10 +10,10 @@ For a qubit S the image set is all of SO(3) and a polar decomposition gives
 the exact optimum; for d_S >= 3 the same expression over SO(d_S^2-1) is an
 upper bound and the optimum is found by gradient ascent on the d_S^2-square
 cost operator that sdp.choi_cost builds from M and Tr[H rho], so M is the
-only reduction of (rho, H) in the package.  Given a solved unital
-relaxation, the ascent starts from the unitary read off its optimum and
-stops there when the result meets the relaxation's certified bound;
-otherwise it runs seeded restarts.
+only reduction of (rho, H) in the package.  Every optimization solves the
+unital relaxation on that operator first; the ascent starts from the
+unitary read off its optimum and stops there when the result meets the
+relaxation's certified bound; otherwise it runs seeded restarts.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class MMatrix:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the restarted ascent over local unitaries."""
+    """Cap and tolerance of every ascent, and the seeded restarts that run
+    when the rounded relaxation is not certified."""
 
     restarts: int = 32
     max_iterations: int = 5000
@@ -205,39 +206,40 @@ def _round_relaxation(e: np.ndarray, d: int) -> np.ndarray:
 def optimize_local_unitary(
     system, cfg: OptimizerConfig | None = None, relaxation=None
 ) -> ErgotropyReport:
-    """Geodesic ascent of the local extraction functional.
+    """Local extraction optimum: the rounded unital relaxation, else restarts.
 
-    relaxation, when given, is the (ChoiCost, SdpSolution, tol) of a solved
-    unital relaxation of this system (sdp.sdp_upper_bound at tolerance tol).
-    Its optimum is rounded to a unitary and polished by one ascent.  The
-    result is returned as certified, and no restart runs, when the polish
-    converged and its value is at least B - 10 tol, where
-    B = Tr[H rho] - sol.dual_value is the bound certified by the solver's
-    dual point and 10 tol ten times the largest duality gap it stops at.
+    C is built once from M and Tr[H rho] and the unital relaxation is solved
+    on it at sdp.DEFAULT_TOL; relaxation, when given, hands over that work as
+    (ChoiCost, SdpSolution, tol), with SdpSolution None when the solve
+    failed.  The optimum E is rounded to a unitary and polished by one
+    ascent, returned as certified, with no restart, when the polish
+    converged and its value is at least B - 10 tol: B = Tr[H rho] -
+    sol.dual_value is the bound certified by the solver's dual point, and
+    tol the largest duality gap it stops at.
 
-    Otherwise, or without a relaxation, the ascent runs from seeded start
-    points: the identity, the optimizer of the decoupled problem (the
-    free-case optimal unitary of rho_S under h_s), and Haar-random unitaries
-    drawn from the seeded generator, cfg.restarts in total.  The result is
-    the pure maximum over every ascent run, deterministic for a fixed
-    (seed, restarts) pair.  Every ascent runs on the cost operator C, built
-    once per call from M and Tr[H rho] or taken from the relaxation.
+    Otherwise (not certified, no solution, or d_S above sdp.MAX_D_S) the
+    ascent runs from cfg.restarts seeded starts: the identity, the free-case
+    optimal unitary of rho_S under h_s, and Haar-random unitaries from the
+    seeded generator.  The result is the maximum over every ascent run,
+    deterministic for a fixed (seed, restarts) pair.
     """
     cfg = cfg or OptimizerConfig()
     d_s, d_e = system.d_s, system.d_e
     if d_s * d_e > 4096:
         raise ValueError("dense optimization limited to joint dimension <= 4096")
-    rng = np.random.default_rng(cfg.seed)
     starts = [np.eye(d_s, dtype=np.complex128)]
     if cfg.restarts >= 2:
         starts.append(global_ergotropy(system.rho_s(), system.h_s).optimal_unitary)
-    while len(starts) < cfg.restarts:
-        starts.append(haar_unitary(d_s, rng))
     if relaxation is None:
-        cost, bound = sdp.choi_cost(build_m_matrix(system), system.energy()), None
+        cost = sdp.choi_cost(build_m_matrix(system), system.energy())
+        sol, tol = None, sdp.DEFAULT_TOL
+        if d_s <= sdp.MAX_D_S:
+            try:
+                sol = sdp.sdp_upper_bound(cost, cost.energy, tol)[1]
+            except sdp.NonConvergenceError:
+                pass
     else:
         cost, sol, tol = relaxation
-        bound = cost.energy - sol.dual_value
     c, e0 = cost.c, cost.energy
 
     def ascend(u0):
@@ -250,11 +252,16 @@ def optimize_local_unitary(
 
     runs = []
     certified = False
-    if relaxation is not None:
+    bound = None
+    if sol is not None:
+        bound = e0 - sol.dual_value
         runs.append(ascend(_round_relaxation(sol.e, d_s)))
         value, *_, converged = runs[0]
         certified = converged and value >= bound - 10.0 * tol
     if not certified:
+        rng = np.random.default_rng(cfg.seed)
+        while len(starts) < cfg.restarts:
+            starts.append(haar_unitary(d_s, rng))
         runs.extend(ascend(u0) for u0 in starts)
     best = runs[0]
     for run in runs[1:]:

@@ -23,8 +23,9 @@ I, and h_E enters only through e0.  For d_S = 2
 unital channels are exactly mixtures of unitaries, so the bound coincides
 with the closed qubit formula.  For d_S >= 3 it is an upper bound that is
 exact on random instances but not everywhere; exactness is certified per
-instance by local.optimize_local_unitary, which rounds the optimum E to a
-unitary and compares its value with the bound.
+instance by local.optimize_local_unitary, which solves the relaxation on
+every call up to MAX_D_S, rounds the optimum E to a unitary and compares
+its value with the bound.
 """
 
 from __future__ import annotations
@@ -46,7 +47,15 @@ __all__ = [
     "export_instance",
     "import_instance",
     "NonConvergenceError",
+    "DEFAULT_TOL",
+    "MAX_D_S",
 ]
+
+# stopping tolerance of the solve: residual norms and certified gap
+DEFAULT_TOL = 1e-7
+# largest d_S solved: the constraint operators of kernels.admm_kernel hold
+# (2 d^2 - 1) d^4 complex entries, 8 MB at d_S = 8 but 34 GB at d_S = 32
+MAX_D_S = 8
 
 
 class NonConvergenceError(RuntimeError):
@@ -97,7 +106,7 @@ def choi_cost(mm, energy: float) -> ChoiCost:
 def sdp_upper_bound(
     cost: ChoiCost,
     rho_energy: float,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOL,
     max_iterations: int = 100,
 ) -> tuple[float, SdpSolution]:
     """Upper bound rho_energy - min Tr[C E] over the unital bimarginal set.
@@ -106,9 +115,14 @@ def sdp_upper_bound(
     the gap Tr[C E] - dual_value are <= tol.  The bound is rho_energy -
     dual_value, certified at any iterate.  A stop without that rule met, at
     the cap or on breakdown, raises NonConvergenceError carrying the iterate.
+    A d_S above MAX_D_S raises ValueError before anything is allocated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if cost.d_s > MAX_D_S:
+        raise ValueError(
+            f"the relaxation is solved up to d_S = {MAX_D_S}, got d_S = {cost.d_s}"
+        )
     e, pobj, rp, rd, iters, dual = kernels.admm_kernel(
         cost.c, cost.d_s, tol, max_iterations
     )

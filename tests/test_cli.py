@@ -126,11 +126,10 @@ def test_local_all_solves_the_relaxation_once_and_rounds_it(tmp_path, capsys, mo
     del costs[:], solves[:]
     code, out, _ = run_cli(capsys, *argv, "--method", "optimize")
     assert code == 0
-    assert (len(costs), len(solves)) == (1, 0)
+    assert (len(costs), len(solves)) == (1, 1)
     opt = json.loads(out)["details"]["optimize"]
-    assert opt["certified"] is False
-    assert opt["bound"] is None
-    assert opt["restarts"] == 32
+    assert opt["certified"] is True
+    assert opt["restarts"] == 1
 
 
 @pytest.mark.parametrize("method", ["closed", "polar", "optimize", "sdp", "all"])
@@ -173,6 +172,8 @@ def test_local_all_sdp_nonconvergence_exits_numeric(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(kernels, "admm_kernel", stuck)
     ascents = _counting(monkeypatch, kernels, "ascent_kernel")
+    costs = _counting(monkeypatch, sdp, "choi_cost")
+    solves = _counting(monkeypatch, sdp, "sdp_upper_bound")
     system = random_system(2, 2, np.random.default_rng(21))
     state_f, hs_f, v_f = _write_system(tmp_path, system)
     code, out, _ = run_cli(
@@ -185,6 +186,27 @@ def test_local_all_sdp_nonconvergence_exits_numeric(tmp_path, capsys, monkeypatc
     assert set(payload["values"]) == {"closed", "optimize", "polar"}
     assert payload["residuals"] == [1.0, 1.0]
     assert len(ascents) == 4
+    assert (len(costs), len(solves)) == (1, 1)
+
+
+def test_relaxation_above_the_size_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the relaxation is not solved above sdp.MAX_D_S")
+
+    monkeypatch.setattr(kernels, "admm_kernel", refuse)
+    d_s = sdp.MAX_D_S + 1
+    system = random_system(d_s, 2, np.random.default_rng(23))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    files = ["--state", state_f, "--hs", hs_f, "--v", v_f, "--ds", str(d_s), "--de", "2"]
+    for method in ("sdp", "all"):
+        code, _, err = run_cli(capsys, "local", *files, "--method", method)
+        assert code == 2
+        assert f"d_S = {sdp.MAX_D_S}" in err
+    code, _, err = run_cli(
+        capsys, "export-sdp", *files, "-o", str(tmp_path / "i.json"), "--solve"
+    )
+    assert code == 2
+    assert f"d_S = {sdp.MAX_D_S}" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -348,19 +348,25 @@ def _relaxation(system, tol=1e-7):
 def test_rounded_relaxation_matches_restarts_and_is_certified():
     rng = np.random.default_rng(26)
     for i in range(12):
-        d_s = 2 + i % 2
+        d_s = 2 + i % 3
         d_e = int(rng.integers(2, 7))
-        system = random_system(d_s, d_e, rng, rank=1 if i % 3 == 0 else None)
-        _, relaxation = _relaxation(system)
-        rounded = local.optimize_local_unitary(system, relaxation=relaxation)
-        restarted = local.optimize_local_unitary(system)
+        system = random_system(d_s, d_e, rng, rank=1 if i // 3 % 2 == 0 else None)
+        bound, relaxation = _relaxation(system)
+        cost, _, tol = relaxation
+        rounded = local.optimize_local_unitary(system)
+        handed = local.optimize_local_unitary(system, relaxation=relaxation)
+        restarted = local.optimize_local_unitary(system, relaxation=(cost, None, tol))
         assert rounded.diagnostics["certified"] is True
         assert rounded.diagnostics["converged"] is True
         assert rounded.diagnostics["restarts"] == 1
-        assert rounded.value <= rounded.diagnostics["bound"] + 1e-12
+        assert rounded.diagnostics["bound"] == bound
+        assert rounded.value <= bound + 1e-12
         assert rounded.value >= restarted.value - 1e-12
         attained = local.local_objective(system, rounded.optimal_unitary)
         assert abs(attained - rounded.value) <= 1e-12 * max(1.0, abs(rounded.value))
+        assert handed.value == rounded.value
+        assert np.array_equal(handed.optimal_unitary, rounded.optimal_unitary)
+        assert handed.diagnostics["certified"] is True
         assert restarted.diagnostics["certified"] is False
         assert restarted.diagnostics["bound"] is None
         assert restarted.diagnostics["restarts"] == 32
@@ -377,3 +383,33 @@ def test_non_tight_relaxation_falls_back_to_restarts(case):
     assert rep.diagnostics["restarts"] == 1 + local.OptimizerConfig().restarts
     assert abs(rep.value - best) < 1e-9
     assert abs(rep.value - brute_local_max(system, tries=10)) < 1e-9
+
+
+@pytest.mark.parametrize("case", non_tight_qutrit_fixtures(), ids=lambda c: c[0])
+def test_non_tight_default_call_runs_restarts(case):
+    _, rho, v, _, best = case
+    system = qmat.BipartiteSystem.build(3, 3, rho, np.zeros((3, 3)), None, v)
+    rep = local.optimize_local_unitary(system)
+    assert rep.diagnostics["certified"] is False
+    assert rep.diagnostics["restarts"] == 33
+    assert abs(rep.value - best) < 1e-9
+
+
+def test_relaxation_is_solved_up_to_the_size_limit(monkeypatch):
+    rng = np.random.default_rng(27)
+    at_limit = random_system(sdp.MAX_D_S, 2, rng)
+    rep = local.optimize_local_unitary(at_limit, local.OptimizerConfig(restarts=1))
+    assert rep.diagnostics["bound"] is not None
+    assert rep.value <= rep.diagnostics["bound"] + 1e-12
+
+    def refuse(*args):
+        raise AssertionError("the relaxation is not solved above sdp.MAX_D_S")
+
+    monkeypatch.setattr(kernels, "admm_kernel", refuse)
+    above = random_system(sdp.MAX_D_S + 1, 2, rng)
+    rep = local.optimize_local_unitary(above, local.OptimizerConfig(restarts=1))
+    assert rep.diagnostics["certified"] is False
+    assert rep.diagnostics["bound"] is None
+    assert rep.diagnostics["restarts"] == 1
+    with pytest.raises(ValueError, match="d_S"):
+        sdp.sdp_upper_bound(cost_from_m(above), 0.0)
