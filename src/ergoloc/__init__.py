@@ -28,14 +28,12 @@ from .gpo import (
     decompose,
     gpo_basis,
     orthogonal_image,
-    psd_ball_radius,
 )
 from .local import (
     MMatrix,
     OptimizerConfig,
     build_m_matrix,
     local_objective,
-    m_matrix_from_bloch,
     optimize_local_unitary,
     polar_upper_bound,
     qubit_local_ergotropy,
@@ -66,9 +64,7 @@ from .qmat import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    norms,
     partial_trace,
-    partial_transpose_s,
     random_density,
     random_hermitian,
     save_matrix,

@@ -41,13 +41,16 @@ class ErgotropyReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_density(rho: np.ndarray) -> np.ndarray:
+def _check_density(rho: np.ndarray):
+    """(rho, eigenvalues ascending, eigenvectors) after the unit-trace and
+    positivity checks, both read off the one eigendecomposition."""
     rho = hermitize(rho)
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
+    p, vecs = np.linalg.eigh(rho)
+    if abs(np.sum(p) - 1.0) > 1e-10:
         raise ValueError("state must have unit trace")
-    if float(np.linalg.eigvalsh(rho)[0]) < -1e-10:
+    if p[0] < -1e-10:
         raise ValueError("state must be positive semidefinite")
-    return rho
+    return rho, p, vecs
 
 
 def global_ergotropy(rho, h) -> ErgotropyReport:
@@ -58,11 +61,10 @@ def global_ergotropy(rho, h) -> ErgotropyReport:
     h.  Ties in either spectrum are broken stably by index, which cannot
     change the value.
     """
-    rho = _check_density(rho)
+    rho, p, prho = _check_density(rho)
     h = hermitize(h)
     if rho.shape != h.shape:
         raise ValueError("state and Hamiltonian dimensions differ")
-    p, prho = hermitian_eig(rho)
     eps, ph = hermitian_eig(h)
     # populations descending (stable), energies already ascending
     order = np.argsort(-p, kind="stable")
@@ -154,8 +156,8 @@ def effective_local_ergotropy_product(rho_s, rho_e, h_s, v) -> float:
     the E state, so the problem reduces to the plain ergotropy of rho_S under
     h_eff = h_s + Tr_E[V (I x rho_E)].
     """
-    rho_s = _check_density(rho_s)
-    rho_e = _check_density(rho_e)
+    rho_s = _check_density(rho_s)[0]
+    rho_e = _check_density(rho_e)[0]
     d_s = rho_s.shape[0]
     d_e = rho_e.shape[0]
     v = hermitize(v)
@@ -246,10 +248,9 @@ def two_level_lower_bound(rho, h_s, v, d_s: int, d_e: int) -> float:
     two-level operators; for a decoupled two-level local term with a pure
     environment it recovers the full ergotropy of the reduced state.
     """
-    rho = _check_density(rho)
+    rho, p, pvecs = _check_density(rho)
     k_op = hermitize(tensor_product(h_s, np.eye(d_e)) + v)
     eps, evecs = hermitian_eig(k_op)
-    p, pvecs = hermitian_eig(rho)
     eps_shift = eps - eps[-1]
     base = float(np.trace(rho @ k_op).real) - float(eps[-1])
     best = 0.0

@@ -23,12 +23,10 @@ __all__ = [
     "gpo_basis",
     "bloch_vector",
     "orthogonal_image",
+    "s_partial_traces",
+    "product_operator",
     "decompose",
-    "reconstruct_local",
     "reconstruct_state",
-    "reconstruct_interaction",
-    "psd_ball_radius",
-    "state_from_bloch",
 ]
 
 
@@ -91,13 +89,16 @@ def gpo_basis(d: int) -> GpoBasis:
     return basis
 
 
+def _real_part(x: np.ndarray, what: str) -> np.ndarray:
+    if np.max(np.abs(x.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(x)))):
+        raise ValueError(f"{what} coefficients are not real")
+    return np.ascontiguousarray(x.real)
+
+
 def bloch_vector(op, basis: GpoBasis) -> np.ndarray:
     """Coefficients Tr[s_i op]; real for Hermitian input (imag <= 1e-10)."""
     op = np.asarray(op, dtype=np.complex128)
-    coeffs = np.einsum("kab,ba->k", basis.elements, op)
-    if np.max(np.abs(coeffs.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise ValueError("coefficients have a non-negligible imaginary part")
-    return np.ascontiguousarray(coeffs.real)
+    return _real_part(np.einsum("kab,ba->k", basis.elements, op), "Bloch")
 
 
 def orthogonal_image(u, basis: GpoBasis, tol: float = 1e-10) -> np.ndarray:
@@ -115,23 +116,6 @@ def orthogonal_image(u, basis: GpoBasis, tol: float = 1e-10) -> np.ndarray:
     rotated = np.einsum("ab,kbc,dc->kad", u, basis.elements, u.conj())
     o = np.einsum("iab,kba->ik", basis.elements, rotated).real / 2.0
     return np.ascontiguousarray(o)
-
-
-def psd_ball_radius(d: int) -> float:
-    """Radius of the Bloch ball guaranteed to map onto physical states.
-
-    Any r with |r| <= sqrt(2/(d(d-1))) reconstructs to a positive
-    semidefinite rho = I/d + (1/2) sum_i r_i s_i; the bound is tight (the
-    extremal direction is the last z-type element).
-    """
-    return float(np.sqrt(2.0 / (d * (d - 1))))
-
-
-def state_from_bloch(r, basis: GpoBasis) -> np.ndarray:
-    d = basis.dim
-    return np.eye(d, dtype=np.complex128) / d + 0.5 * np.einsum(
-        "k,kab->ab", np.asarray(r, dtype=float), basis.elements
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,68 +141,47 @@ class BlochDecomposition:
     v: np.ndarray
 
 
-def _real_part(x: np.ndarray, what: str) -> np.ndarray:
-    if np.max(np.abs(x.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(x)))):
-        raise ValueError(f"{what} coefficients are not real")
-    return np.ascontiguousarray(x.real)
+def s_partial_traces(op, basis: GpoBasis, d_e: int) -> np.ndarray:
+    """Tr_S[(s^i x I) op] for every s^i of the S basis, a (d_S^2-1, d_E, d_E) stack."""
+    d_s = basis.dim
+    return np.einsum("iba,aebf->ief", basis.elements, op.reshape(d_s, d_e, d_s, d_e))
 
 
-def decompose(system, basis_s: GpoBasis | None = None, basis_e: GpoBasis | None = None) -> BlochDecomposition:
+def product_operator(coeff, basis_s: GpoBasis, basis_e: GpoBasis) -> np.ndarray:
+    """sum_ij coeff_ij s^i x s^j as a joint (d_S d_E)-square matrix."""
+    n = basis_s.dim * basis_e.dim
+    return np.einsum("ij,iab,jcd->acbd", coeff, basis_s.elements, basis_e.elements).reshape(n, n)
+
+
+def decompose(system) -> BlochDecomposition:
     """Expand a BipartiteSystem in the product GPO basis."""
-    bs = basis_s or gpo_basis(system.d_s)
-    be = basis_e or gpo_basis(system.d_e)
+    bs, be = gpo_basis(system.d_s), gpo_basis(system.d_e)
     d_s, d_e = system.d_s, system.d_e
     r = bloch_vector(system.rho_s(), bs)
     q = bloch_vector(system.rho_e(), be)
-    rho4 = system.rho.reshape(d_s, d_e, d_s, d_e)
-    t_half = np.einsum("iba,aebf->ief", bs.elements, rho4)
-    t = _real_part(np.einsum("ief,jfe->ij", t_half, be.elements), "correlation")
-    h = _real_part(np.einsum("kab,ba->k", bs.elements, system.h_s) / 2.0, "h")
+
+    def pair_coeffs(op):  # Tr[op (s^i x s^j)]
+        return np.einsum("ief,jfe->ij", s_partial_traces(op, bs, d_e), be.elements)
+
+    t = _real_part(pair_coeffs(system.rho), "correlation")
+    h = bloch_vector(system.h_s, bs) / 2.0
     c = float(np.trace(system.h_s).real) / d_s
-    v4 = system.v.reshape(d_s, d_e, d_s, d_e)
-    v_half = np.einsum("iba,aebf->ief", bs.elements, v4)
-    v = _real_part(np.einsum("ief,jfe->ij", v_half, be.elements) / 4.0, "coupling")
+    v = _real_part(pair_coeffs(system.v) / 4.0, "coupling")
     return BlochDecomposition(d_s, d_e, r, q, t, h, float(c), v)
 
 
-def reconstruct_local(dec: BlochDecomposition, basis_s: GpoBasis | None = None) -> np.ndarray:
-    """H_S = c I + sum_i h_i s^i."""
-    bs = basis_s or gpo_basis(dec.d_s)
-    return dec.c * np.eye(dec.d_s, dtype=np.complex128) + np.einsum(
-        "k,kab->ab", dec.h, bs.elements
-    )
-
-
-def reconstruct_state(
-    dec: BlochDecomposition,
-    basis_s: GpoBasis | None = None,
-    basis_e: GpoBasis | None = None,
-) -> np.ndarray:
+def reconstruct_state(dec: BlochDecomposition) -> np.ndarray:
     """rho_SE from (r, q, t).
 
     rho = I/(d_S d_E) + (1/(2 d_E)) sum r_i s^i x I + (1/(2 d_S)) sum q_j I x s^j
           + (1/4) sum t_ij s^i x s^j.
     """
-    bs = basis_s or gpo_basis(dec.d_s)
-    be = basis_e or gpo_basis(dec.d_e)
+    bs, be = gpo_basis(dec.d_s), gpo_basis(dec.d_e)
     d_s, d_e = dec.d_s, dec.d_e
     ident_e = np.eye(d_e, dtype=np.complex128)
     ident_s = np.eye(d_s, dtype=np.complex128)
     rho = np.eye(d_s * d_e, dtype=np.complex128) / (d_s * d_e)
     rho += tensor_product(np.einsum("k,kab->ab", dec.r, bs.elements), ident_e) / (2.0 * d_e)
     rho += tensor_product(ident_s, np.einsum("k,kab->ab", dec.q, be.elements)) / (2.0 * d_s)
-    corr = np.einsum("ij,iab,jcd->acbd", dec.t, bs.elements, be.elements)
-    rho += corr.reshape(d_s * d_e, d_s * d_e) / 4.0
+    rho += product_operator(dec.t, bs, be) / 4.0
     return hermitize(rho)
-
-
-def reconstruct_interaction(
-    dec: BlochDecomposition,
-    basis_s: GpoBasis | None = None,
-    basis_e: GpoBasis | None = None,
-) -> np.ndarray:
-    """V_SE = sum_ij v_ij s^i x s^j (valid when V has no identity components)."""
-    bs = basis_s or gpo_basis(dec.d_s)
-    be = basis_e or gpo_basis(dec.d_e)
-    v = np.einsum("ij,iab,jcd->acbd", dec.v, bs.elements, be.elements)
-    return hermitize(v.reshape(dec.d_s * dec.d_e, dec.d_s * dec.d_e))

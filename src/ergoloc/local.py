@@ -24,14 +24,13 @@ import numpy as np
 
 from . import kernels, sdp
 from .ergotropy import ErgotropyReport, global_ergotropy
-from .gpo import BlochDecomposition, GpoBasis, gpo_basis, orthogonal_image
+from .gpo import bloch_vector, gpo_basis, s_partial_traces
 from .qmat import haar_unitary, tensor_product
 
 __all__ = [
     "MMatrix",
     "OptimizerConfig",
     "build_m_matrix",
-    "m_matrix_from_bloch",
     "qubit_local_ergotropy",
     "polar_upper_bound",
     "optimize_local_unitary",
@@ -65,33 +64,19 @@ class OptimizerConfig:
             raise ValueError("gradient_tolerance must be positive")
 
 
-def build_m_matrix(system, basis: GpoBasis | None = None) -> MMatrix:
+def build_m_matrix(system) -> MMatrix:
     """M from the partial-trace contractions of rho and V."""
-    bs = basis or gpo_basis(system.d_s)
-    d_s, d_e = system.d_s, system.d_e
-    rho_s = system.rho_s()
-    r = np.einsum("kab,ba->k", bs.elements, rho_s).real
-    h = np.einsum("kab,ba->k", bs.elements, system.h_s).real / 2.0
-    rho4 = system.rho.reshape(d_s, d_e, d_s, d_e)
-    v4 = system.v.reshape(d_s, d_e, d_s, d_e)
+    bs = gpo_basis(system.d_s)
+    r = bloch_vector(system.rho_s(), bs)
+    h = bloch_vector(system.h_s, bs) / 2.0
     # rho_E^(i) and V_E^(k), both d_e-square
-    rho_e_i = np.einsum("iba,aebf->ief", bs.elements, rho4)
-    v_e_k = np.einsum("kba,aebf->kef", bs.elements, v4)
+    rho_e_i = s_partial_traces(system.rho, bs, system.d_e)
+    v_e_k = s_partial_traces(system.v, bs, system.d_e)
     cross = 0.5 * np.einsum("ief,kfe->ik", rho_e_i, v_e_k)
     m = -(np.outer(r, h) + cross)
     if np.max(np.abs(m.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("M must be real for Hermitian inputs")
-    return MMatrix(np.ascontiguousarray(m.real), d_s)
-
-
-def m_matrix_from_bloch(dec: BlochDecomposition) -> MMatrix:
-    """M from coefficients only: m_ik = -(r_i h_k + sum_j t_ij v_kj).
-
-    Agrees with build_m_matrix whenever V carries no s^i x I component
-    (the normal form produced by the model builders).
-    """
-    m = -(np.outer(dec.r, dec.h) + dec.t @ dec.v.T)
-    return MMatrix(np.ascontiguousarray(m), dec.d_s)
+    return MMatrix(np.ascontiguousarray(m.real), system.d_s)
 
 
 def local_objective(system, u) -> float:
@@ -224,9 +209,7 @@ def optimize_local_unitary(
     deterministic for a fixed (seed, restarts) pair.
     """
     cfg = cfg or OptimizerConfig()
-    d_s, d_e = system.d_s, system.d_e
-    if d_s * d_e > 4096:
-        raise ValueError("dense optimization limited to joint dimension <= 4096")
+    d_s = system.d_s
     starts = [np.eye(d_s, dtype=np.complex128)]
     if cfg.restarts >= 2:
         starts.append(global_ergotropy(system.rho_s(), system.h_s).optimal_unitary)

@@ -22,9 +22,7 @@ __all__ = [
     "hermiticity_drift",
     "tensor_product",
     "partial_trace",
-    "partial_transpose_s",
     "hermitian_eig",
-    "norms",
     "matrix_to_json",
     "matrix_from_json",
     "save_matrix",
@@ -32,7 +30,6 @@ __all__ = [
     "random_hermitian",
     "random_density",
     "haar_unitary",
-    "random_state_vector",
 ]
 
 
@@ -84,16 +81,6 @@ def partial_trace(a, d_s: int, d_e: int, side: str = "E") -> np.ndarray:
     raise ValueError("side must be 'S' or 'E'")
 
 
-def partial_transpose_s(a, d_s: int, d_e: int) -> np.ndarray:
-    """Transpose the S index pair only.  Involution and trace preserving."""
-    a = _as_complex(a)
-    n = d_s * d_e
-    if a.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {a.shape}")
-    a4 = a.reshape(d_s, d_e, d_s, d_e)
-    return np.ascontiguousarray(a4.transpose(2, 1, 0, 3).reshape(n, n))
-
-
 def hermitian_eig(a, tol: float = HERM_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -104,14 +91,6 @@ def hermitian_eig(a, tol: float = HERM_TOL):
     a = hermitize(a, tol)
     w, v = np.linalg.eigh(a)
     return w, v
-
-
-def norms(a) -> tuple[float, float, float]:
-    """(Hilbert-Schmidt, trace, operator) norms via singular values."""
-    a = _as_complex(a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    hs = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    return hs, float(np.sum(sv)), float(sv[0]) if sv.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +233,3 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     ph /= np.abs(ph)
     return q * ph
 
-
-def random_state_vector(d: int, rng) -> np.ndarray:
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)

@@ -66,6 +66,80 @@ def dense_choi_cost(system):
 
 
 # ---------------------------------------------------------------------------
+# reference formulas that only the tests use
+
+
+def m_matrix_from_bloch(dec: gpo.BlochDecomposition) -> local.MMatrix:
+    """M from coefficients only: m_ik = -(r_i h_k + sum_j t_ij v_kj).
+
+    Agrees with build_m_matrix whenever V carries no s^i x I component
+    (the normal form produced by the model builders).
+    """
+    m = -(np.outer(dec.r, dec.h) + dec.t @ dec.v.T)
+    return local.MMatrix(np.ascontiguousarray(m), dec.d_s)
+
+
+def psd_ball_radius(d: int) -> float:
+    """Radius of the Bloch ball guaranteed to map onto physical states.
+
+    Any r with |r| <= sqrt(2/(d(d-1))) reconstructs to a positive
+    semidefinite rho = I/d + (1/2) sum_i r_i s_i; the bound is tight (the
+    extremal direction is the last z-type element).
+    """
+    return float(np.sqrt(2.0 / (d * (d - 1))))
+
+
+def state_from_bloch(r, basis: gpo.GpoBasis) -> np.ndarray:
+    d = basis.dim
+    return np.eye(d, dtype=np.complex128) / d + 0.5 * np.einsum(
+        "k,kab->ab", np.asarray(r, dtype=float), basis.elements
+    )
+
+
+def reconstruct_local(dec: gpo.BlochDecomposition, basis_s: gpo.GpoBasis | None = None) -> np.ndarray:
+    """H_S = c I + sum_i h_i s^i."""
+    bs = basis_s or gpo.gpo_basis(dec.d_s)
+    return dec.c * np.eye(dec.d_s, dtype=np.complex128) + np.einsum(
+        "k,kab->ab", dec.h, bs.elements
+    )
+
+
+def reconstruct_interaction(
+    dec: gpo.BlochDecomposition,
+    basis_s: gpo.GpoBasis | None = None,
+    basis_e: gpo.GpoBasis | None = None,
+) -> np.ndarray:
+    """V_SE = sum_ij v_ij s^i x s^j (valid when V has no identity components)."""
+    bs = basis_s or gpo.gpo_basis(dec.d_s)
+    be = basis_e or gpo.gpo_basis(dec.d_e)
+    v = np.einsum("ij,iab,jcd->acbd", dec.v, bs.elements, be.elements)
+    return qmat.hermitize(v.reshape(dec.d_s * dec.d_e, dec.d_s * dec.d_e))
+
+
+def partial_transpose_s(a, d_s: int, d_e: int) -> np.ndarray:
+    """Transpose the S index pair only.  Involution and trace preserving."""
+    a = qmat._as_complex(a)
+    n = d_s * d_e
+    if a.shape != (n, n):
+        raise ValueError(f"expected shape {(n, n)}, got {a.shape}")
+    a4 = a.reshape(d_s, d_e, d_s, d_e)
+    return np.ascontiguousarray(a4.transpose(2, 1, 0, 3).reshape(n, n))
+
+
+def norms(a) -> tuple[float, float, float]:
+    """(Hilbert-Schmidt, trace, operator) norms via singular values."""
+    a = qmat._as_complex(a)
+    sv = np.linalg.svd(a, compute_uv=False)
+    hs = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    return hs, float(np.sum(sv)), float(sv[0]) if sv.size else 0.0
+
+
+def random_state_vector(d: int, rng) -> np.ndarray:
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi / np.linalg.norm(psi)
+
+
+# ---------------------------------------------------------------------------
 # operator-splitting (ADMM) oracle for the unital-channel SDP
 
 # initial penalty, over-relaxation, iterations between penalty adaptations

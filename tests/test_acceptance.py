@@ -37,8 +37,12 @@ from helpers import (
     brute_local_max,
     cost_from_m,
     direct_objective,
+    m_matrix_from_bloch,
     max_entangled_two_level,
+    random_state_vector,
     random_system,
+    reconstruct_interaction,
+    reconstruct_local,
 )
 
 JC_GRID = [
@@ -98,7 +102,8 @@ def test_acceptance_01_jc_closed_form_reproduction():
                 # quoted value too high: no unital channel reaches it
                 energy = float(np.trace(system.rho @ system.total_hamiltonian()).real)
                 bound, _ = sdp.sdp_upper_bound(cost_from_m(system), energy, tol=1e-7)
-                margin = stated - (bound + 1e-5)
+                # the bound is certified: rounding-sized slack only
+                margin = stated - (bound + 1e-9)
                 above.append(margin)
                 if margin <= 0.0:
                     failures.append((n, delta, rabi, sign, "above", margin))
@@ -400,7 +405,7 @@ def test_acceptance_07_sdp_tightness():
     elapsed = time.perf_counter() - t0
     ok = (
         worst_d2 <= 1e-4
-        and lowest_d2 >= -1e-5
+        and lowest_d2 >= -1e-9
         and worst_d3 >= -1e-6
         and elapsed < 600.0
     )
@@ -411,7 +416,7 @@ def test_acceptance_07_sdp_tightness():
         f"qutrit min(bound-optimizer) {worst_d3:.2e}, {elapsed:.0f}s",
     )
     assert worst_d2 <= 1e-4
-    assert lowest_d2 >= -1e-5
+    assert lowest_d2 >= -1e-9
     assert worst_d3 >= -1e-6
     assert elapsed < 600.0
 
@@ -491,7 +496,7 @@ def test_acceptance_09_inequality_suites():
     for i in range(100):
         _, v, k = max_entangled_two_level(2, rng)
         h_s = qmat.partial_trace(k, 2, 2, "E") / 2
-        psi = qmat.random_state_vector(4, rng)
+        psi = random_state_vector(4, rng)
         exact = ergotropy.two_level_exact(psi, k, 2, 2)
         system = qmat.BipartiteSystem.build(2, 2, np.outer(psi, psi.conj()), h_s, None, v)
         rep = local.optimize_local_unitary(system, local.OptimizerConfig(restarts=8, seed=i))
@@ -530,10 +535,10 @@ def test_acceptance_10_structural_invariants():
             system = random_system(d_s, d_e, rng)
             dec = gpo.decompose(system)
             assert np.max(np.abs(gpo.reconstruct_state(dec) - system.rho)) < 1e-10
-            assert np.max(np.abs(gpo.reconstruct_local(dec) - system.h_s)) < 1e-10
-            assert np.max(np.abs(gpo.reconstruct_interaction(dec) - system.v)) < 1e-10
+            assert np.max(np.abs(reconstruct_local(dec) - system.h_s)) < 1e-10
+            assert np.max(np.abs(reconstruct_interaction(dec) - system.v)) < 1e-10
             m1 = local.build_m_matrix(system).m
-            m2 = local.m_matrix_from_bloch(dec).m
+            m2 = m_matrix_from_bloch(dec).m
             assert np.max(np.abs(m1 - m2)) < 1e-10
     for d in (2, 3, 4):
         basis = gpo.gpo_basis(d)

@@ -8,6 +8,7 @@ from helpers import (
     max_entangled_two_level,
     model_hamiltonian,
     random_coupling,
+    random_state_vector,
     random_system,
 )
 
@@ -285,7 +286,7 @@ def test_hs_bounds_zero_coupling():
 
 def test_hs_bounds_pure_state_norm():
     rng = np.random.default_rng(13)
-    psi = qmat.random_state_vector(6, rng)
+    psi = random_state_vector(6, rng)
     v = random_coupling(2, 3, rng)
     system = qmat.BipartiteSystem.build(
         2, 3, np.outer(psi, psi.conj()), qmat.random_hermitian(2, rng),
@@ -334,7 +335,7 @@ def test_two_level_exact_matches_brute_force():
     for seed in range(6):
         d = 2 if seed % 2 == 0 else 3
         h_s, v, k = max_entangled_two_level(d, rng)
-        psi = qmat.random_state_vector(d * d, rng)
+        psi = random_state_vector(d * d, rng)
         value = ergotropy.two_level_exact(psi, k, d, d)
         system = qmat.BipartiteSystem.build(
             d, d, np.outer(psi, psi.conj()), h_s, None, v
@@ -346,7 +347,7 @@ def test_two_level_exact_matches_brute_force():
 def test_two_level_exact_rejects_many_levels():
     rng = np.random.default_rng(17)
     k = qmat.random_hermitian(4, rng)
-    psi = qmat.random_state_vector(4, rng)
+    psi = random_state_vector(4, rng)
     with pytest.raises(ValueError):
         ergotropy.two_level_exact(psi, k, 2, 2)
 
@@ -357,7 +358,7 @@ def test_two_level_exact_rejects_degenerate_ground():
     u = qmat.haar_unitary(4, rng)
     proj = u[:, :2] @ u[:, :2].conj().T
     k = -1.5 * proj
-    psi = qmat.random_state_vector(4, rng)
+    psi = random_state_vector(4, rng)
     with pytest.raises(ValueError):
         ergotropy.two_level_exact(psi, k, 2, 2)
 
@@ -377,7 +378,7 @@ def test_lower_bound_equals_exact_on_pure_two_level():
     rng = np.random.default_rng(19)
     for seed in range(5):
         h_s, v, k = max_entangled_two_level(2, rng)
-        psi = qmat.random_state_vector(4, rng)
+        psi = random_state_vector(4, rng)
         exact = ergotropy.two_level_exact(psi, k, 2, 2)
         bound = ergotropy.two_level_lower_bound(
             np.outer(psi, psi.conj()), h_s, v, 2, 2
@@ -394,7 +395,7 @@ def test_lower_bound_commuting_case_two_level_hamiltonian():
         rho_s = np.diag([p_hi, 1 - p_hi]).astype(complex)
         e1 = rng.uniform(0.5, 2.0)
         h_s = np.diag([e1, 0.0]).astype(complex)
-        psi_e = qmat.random_state_vector(3, rng)
+        psi_e = random_state_vector(3, rng)
         rho = qmat.tensor_product(rho_s, np.outer(psi_e, psi_e.conj()))
         bound = ergotropy.two_level_lower_bound(rho, h_s, np.zeros((6, 6)), 2, 3)
         expected = ergotropy.global_ergotropy(rho_s, h_s).value

