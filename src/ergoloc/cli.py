@@ -8,8 +8,10 @@ rounds the unital relaxation first and runs its restarts only when the
 rounded value is not certified; local --method all solves the relaxation
 once and hands it, or its failure, to the optimizer.  The jc
 sweep evaluates every phase at once from three reductions and checks itself
-against the per-point pipeline at one probe phase (exit 3 on a mismatch);
-xxz computes its rows one after another on a ring Hamiltonian built once.
+against the per-point pipeline at one probe phase (exit 3 on a mismatch).
+xxz computes each row from the N amplitudes of the plane wave, with no 2^N
+object, up to 62 sites; up to models.XXZ_MAX_SITES it also checks its first
+row against the dense per-k pipeline (exit 3 on a mismatch).
 Every command is deterministic for a fixed --seed.
 """
 
@@ -200,7 +202,7 @@ def cmd_local(args) -> int:
 # the affine coefficients, and a probe off the anchors that checks them
 _JC_ANCHORS = (0.0, np.pi / 2, np.pi)
 _JC_PROBE = 1.0
-_JC_PROBE_TOL = 1e-12
+_PROBE_TOL = 1e-12
 
 
 class _ProbeMismatch(Exception):
@@ -256,7 +258,7 @@ def _jc_rows(p, phis, alpha, n, dynamical) -> np.ndarray:
     )
     got = [float(col[0]) for col in columns(np.array([_JC_PROBE]))]
     for name, g, r in zip(("local_ergotropy", "switch_off", "delta_off"), got, ref):
-        if abs(g - r) > _JC_PROBE_TOL * max(1.0, abs(r)):
+        if abs(g - r) > _PROBE_TOL * max(1.0, abs(r)):
             raise _ProbeMismatch(
                 f"batched {name} {g!r} differs from the per-point pipeline {r!r} "
                 f"at the probe phase {_JC_PROBE}"
@@ -286,53 +288,78 @@ def cmd_jc(args) -> int:
     return EXIT_OK
 
 
-def _xxz_rows(p, parts, ks):
-    """One table row per momentum k, from the ring parts built once.
+def _xxz_rows(p, ks):
+    """One table row per momentum k, each from the N amplitudes of |phi_k>.
 
-    The ring Hamiltonian of the Bethe residuals is the same for every k, so
-    it is formed once, from the first row's system.
+    models.xxz_plane_wave_reduction gives rho_S, M, Tr[rho V] and the Bethe
+    residual with no 2^N object; the local value follows from the branch
+    formula on M and the switch-off work from the ergotropy of rho_S under
+    h_s = eps sigma_z, less delta_off = -Tr[rho V].  When the ring is small
+    enough for the dense oracle (N <= XXZ_MAX_SITES), the first row is
+    compared with the dense per-k pipeline before returning; a mismatch
+    raises _ProbeMismatch.
     """
+    h_s = p.epsilon * np.diag([1.0, -1.0]).astype(complex)
     rows = []
-    h = None
     for k in ks:
-        psi = models.xxz_bethe_state(p, k)
-        system = qmat.BipartiteSystem.build(
-            2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *parts
-        )
-        if h is None:
-            h = system.total_hamiltonian()
-        e_k = models.xxz_bethe_energy(p, k)
-        residual = float(np.linalg.norm(h @ psi - e_k * psi))
-        d_off = ergotropy.delta_off(system)
-        e_off = ergotropy.switch_off_ergotropy(system)
-        mm = local.build_m_matrix(system)
-        numeric = local.qubit_local_ergotropy(mm).value
+        rho_s, m, tr_rho_v, residual = models.xxz_plane_wave_reduction(p, k)
+        d_off = -tr_rho_v
+        numeric = local.qubit_local_ergotropy(local.MMatrix(m, 2)).value
         try:
-            triple = models.xxz_analytic(p, k)
-            analytic = triple.local_ergotropy
+            analytic = models.xxz_analytic(p, k).local_ergotropy
             gap = abs(analytic - numeric)
         except models.RegimeError:
             analytic = None
             gap = None
         rows.append({
             "k": k,
-            "energy": e_k,
+            "energy": models.xxz_bethe_energy(p, k),
             "delta_off": d_off,
-            "switch_off": e_off,
+            "switch_off": ergotropy.global_ergotropy(rho_s, h_s).value - d_off,
             "local_analytic": analytic,
             "local_numeric": numeric,
             "bethe_residual": residual,
             "analytic_numeric_gap": gap,
         })
+    if p.n_sites <= models.XXZ_MAX_SITES:
+        _xxz_probe(p, rows[0])
     return rows
+
+
+def _xxz_probe(p, row) -> None:
+    """Compare one plane-wave row with the dense per-k pipeline at its k."""
+    k = row["k"]
+    psi = models.xxz_bethe_state(p, k)
+    system = qmat.BipartiteSystem.build(
+        2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *models.xxz_system(p)
+    )
+    h = system.total_hamiltonian()
+    ref = {
+        "delta_off": ergotropy.delta_off(system),
+        "switch_off": ergotropy.switch_off_ergotropy(system),
+        "local_numeric": local.qubit_local_ergotropy(local.build_m_matrix(system)).value,
+        "bethe_residual": float(
+            np.linalg.norm(h @ psi - models.xxz_bethe_energy(p, k) * psi)
+        ),
+    }
+    for name, r in ref.items():
+        if abs(row[name] - r) > _PROBE_TOL * max(1.0, abs(r)):
+            raise _ProbeMismatch(
+                f"plane-wave {name} {row[name]!r} differs from the dense pipeline "
+                f"{r!r} at the probe momentum k={k}"
+            )
 
 
 def cmd_xxz(args) -> int:
     try:
         p = models.XxzParams(args.sites, args.epsilon, args.j, args.jz)
-        parts = models.xxz_system(p)  # also the dimension guard
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if args.sites > models.XXZ_PLANE_WAVE_MAX_SITES:
+        raise InputError(
+            f"plane-wave rows support at most {models.XXZ_PLANE_WAVE_MAX_SITES} "
+            f"sites, got {args.sites}"
+        )
     if args.k is None and not args.k_sweep:
         raise InputError("choose --k K or --k-sweep")
     if args.k is not None and args.k_sweep:
@@ -345,7 +372,11 @@ def cmd_xxz(args) -> int:
     for k in ks:
         if not (-(args.sites // 2) < k <= args.sites // 2):
             raise InputError(f"k={k} out of range for N={args.sites}")
-    rows = _xxz_rows(p, parts, ks)
+    try:
+        rows = _xxz_rows(p, ks)
+    except _ProbeMismatch as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
     if args.format == "json":
         _emit(_json_dumps({"n_sites": args.sites, "rows": rows}), args.output)
     else:

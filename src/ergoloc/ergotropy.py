@@ -154,11 +154,10 @@ def effective_local_ergotropy_product(rho_s, rho_e, h_s, v) -> float:
 
     For product inputs the coupling only enters through its contraction on
     the E state, so the problem reduces to the plain ergotropy of rho_S under
-    h_eff = h_s + Tr_E[V (I x rho_E)].
+    h_eff = h_s + Tr_E[V (I x rho_E)].  rho_S is checked by global_ergotropy.
     """
-    rho_s = _check_density(rho_s)[0]
     rho_e = _check_density(rho_e)[0]
-    d_s = rho_s.shape[0]
+    d_s = np.shape(rho_s)[0]
     d_e = rho_e.shape[0]
     v = hermitize(v)
     contracted = partial_trace(

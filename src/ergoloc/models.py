@@ -35,15 +35,18 @@ __all__ = [
     "xxz_bethe_state",
     "xxz_bethe_energy",
     "xxz_analytic",
+    "xxz_plane_wave",
+    "xxz_plane_wave_reduction",
     "XXZ_MAX_SITES",
+    "XXZ_PLANE_WAVE_MAX_SITES",
 ]
 
-XXZ_MAX_SITES = 14
+XXZ_MAX_SITES = 12  # dense oracle: 2^N-square operators (xxz_system)
+XXZ_PLANE_WAVE_MAX_SITES = 62  # plane-wave rows: basis indices are int64
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_I2 = np.eye(2, dtype=np.complex128)
 _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |excited><ground|
 
 
@@ -233,20 +236,38 @@ class XxzParams:
             raise ValueError("ring needs at least 3 sites")
 
 
-def _site_op(op: np.ndarray, i: int, n: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=np.complex128)
-    for k in range(n):
-        out = np.kron(out, op if k == i else _I2)
-    return out
+def _ring_part(n: int, field: float, j: float, j_z: float, bonds) -> np.ndarray:
+    """field sum_i sz_i - sum_(a,b) [j (sx_a sx_b + sy_a sy_b) + j_z sz_a sz_b]
+    on n sites, for 0-based site pairs (a, b).
+
+    Site a is bit n-1-a of the basis index, set when the spin is down, so
+    sz_a is a +-1 diagonal read from that bit.  sx_a sx_b + sy_a sy_b sends
+    each anti-aligned pair to its flipped partner with amplitude 2.  The
+    diagonal is summed bond by bond, in the order of the Kronecker form.
+    """
+    idx = np.arange(2**n)
+    z = 1 - 2 * ((idx >> (n - 1 - np.arange(n))[:, None]) & 1)
+    diag = field * z.sum(axis=0)
+    for a, b in bonds:
+        diag = diag - j_z * (z[a] * z[b])
+    h = np.diag(diag.astype(np.complex128))
+    for a, b in bonds:
+        anti = idx[z[a] != z[b]]
+        h[anti ^ ((1 << (n - 1 - a)) | (1 << (n - 1 - b))), anti] = -2.0 * j
+    return h
 
 
 def xxz_system(p: XxzParams) -> HamiltonianParts:
-    """Split ring Hamiltonian on 2 x 2^(N-1).
+    """Split ring Hamiltonian on 2 x 2^(N-1): the dense oracle of the ring.
 
     H = eps sum_i sz_i - sum_i [ j (sx_i sx_{i+1} + sy_i sy_{i+1})
                                  + j_z sz_i sz_{i+1} ]  (periodic).
     v collects the two bonds touching site 1:
     v = -j (sx x X_E + sy x Y_E) - j_z sz x Z_E with X_E = sx_2 + sx_N etc.
+    Built from bit operations, with no Kronecker chain; both parts are
+    Hermitian by construction.  Refused above XXZ_MAX_SITES: the dense per-k
+    pipeline on these parts peaks at 1.7 GB at 12 sites, and each added site
+    quadruples that.  xxz_plane_wave_reduction needs no dense operator.
     """
     n = p.n_sites
     if n > XXZ_MAX_SITES:
@@ -254,25 +275,9 @@ def xxz_system(p: XxzParams) -> HamiltonianParts:
             f"dense mode supports at most {XXZ_MAX_SITES} sites, got {n}"
         )
     ne = n - 1  # environment sites 2..N in ring order
-    x_e = _site_op(_SX, 0, ne) + _site_op(_SX, ne - 1, ne)
-    y_e = _site_op(_SY, 0, ne) + _site_op(_SY, ne - 1, ne)
-    z_e = _site_op(_SZ, 0, ne) + _site_op(_SZ, ne - 1, ne)
-    v = -(
-        p.j * (tensor_product(_SX, x_e) + tensor_product(_SY, y_e))
-        + p.j_z * tensor_product(_SZ, z_e)
-    )
-    h_s = p.epsilon * _SZ
-    h_e = p.epsilon * sum(_site_op(_SZ, i, ne) for i in range(ne))
-    for i in range(ne - 1):  # bonds among sites 2..N, open segment
-        h_e = h_e - (
-            p.j
-            * (
-                _site_op(_SX, i, ne) @ _site_op(_SX, i + 1, ne)
-                + _site_op(_SY, i, ne) @ _site_op(_SY, i + 1, ne)
-            )
-            + p.j_z * _site_op(_SZ, i, ne) @ _site_op(_SZ, i + 1, ne)
-        )
-    return HamiltonianParts(hermitize(h_s), hermitize(h_e), hermitize(v))
+    h_e = _ring_part(ne, p.epsilon, p.j, p.j_z, [(i, i + 1) for i in range(ne - 1)])
+    v = _ring_part(n, 0.0, p.j, p.j_z, [(0, 1), (0, n - 1)])
+    return HamiltonianParts(hermitize(p.epsilon * _SZ), h_e, v)
 
 
 def xxz_bipartite(p: XxzParams, rho_or_psi: np.ndarray) -> BipartiteSystem:
@@ -287,22 +292,101 @@ def _k_range(n: int) -> range:
     return range(-(n // 2) + 1, n // 2 + 1)
 
 
-def xxz_bethe_state(p: XxzParams, k: int) -> np.ndarray:
-    """Single-flip plane wave |phi_k> = N^{-1/2} sum_n e^{2 pi i k n / N} sx_n |all down>.
+def xxz_plane_wave(p: XxzParams, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support of |phi_k>: N basis indices, ascending, and their amplitudes.
 
-    Exact eigenvector of the ring for integer k in (-N/2, N/2].
+    Site s is bit N-s of the index, set when the spin is down, so the flip
+    of site s from all-down is index (2^N - 1) ^ 2^(N-s), with amplitude
+    N^{-1/2} e^{2 pi i k s / N}.
     """
     n = p.n_sites
     if k not in _k_range(n):
         raise ValueError(f"k must lie in ({-(n // 2)}, {n // 2}], got {k}")
-    dim = 2**n
-    psi = np.zeros(dim, dtype=np.complex128)
-    all_down = dim - 1  # (up, down) ordering per site => all-down is the last index
-    q = 2.0 * np.pi * k / n
-    for site in range(1, n + 1):
-        idx = all_down ^ (1 << (n - site))  # flip site -> up
-        psi[idx] += np.exp(1j * q * site)
-    return psi / np.sqrt(n)
+    if n > XXZ_PLANE_WAVE_MAX_SITES:
+        raise ValueError(
+            f"plane-wave rows support at most {XXZ_PLANE_WAVE_MAX_SITES} sites, got {n}"
+        )
+    sites = np.arange(1, n + 1)
+    idx = (2**n - 1) ^ np.left_shift(1, n - sites)
+    return idx, np.exp(1j * (2.0 * np.pi * k / n) * sites) / np.sqrt(n)
+
+
+def xxz_bethe_state(p: XxzParams, k: int) -> np.ndarray:
+    """Single-flip plane wave |phi_k> = N^{-1/2} sum_n e^{2 pi i k n / N} sx_n |all down>.
+
+    Exact eigenvector of the ring for integer k in (-N/2, N/2]; the dense
+    vector of xxz_plane_wave.
+    """
+    idx, amp = xxz_plane_wave(p, k)
+    psi = np.zeros(2**p.n_sites, dtype=np.complex128)
+    psi[idx] = amp
+    return psi
+
+
+def _pauli(n: int, *ops) -> tuple[int, list, complex]:
+    """(flip, bits, phase) of the Pauli string ops = ((site, "x"|"y"|"z"), ...).
+
+    Site s is bit N-s of the index.  The string sends index b to b ^ flip,
+    times phase and times -1 for each of bits set in b: sx flips its bit,
+    sz reads it, and sy = i sx sz does both.
+    """
+    flip, bits, phase = 0, [], 1.0 + 0j
+    for site, axis in ops:
+        if axis != "z":
+            flip |= 1 << (n - site)
+        if axis != "x":
+            bits.append(n - site)
+        if axis == "y":
+            phase *= 1j
+    return flip, bits, phase
+
+
+def _apply(string, idx: np.ndarray, amp: np.ndarray):
+    flip, bits, phase = string
+    parity = sum((idx >> b) & 1 for b in bits) & 1
+    return idx ^ flip, phase * np.where(parity, -amp, amp)
+
+
+def _expect(string, idx: np.ndarray, amp: np.ndarray) -> complex:
+    """<psi|P|psi> for psi on the ascending support idx."""
+    img, val = _apply(string, idx, amp)
+    pos = np.minimum(np.searchsorted(idx, img), len(idx) - 1)
+    hit = idx[pos] == img
+    return complex(np.vdot(amp[pos[hit]], val[hit]))
+
+
+def xxz_plane_wave_reduction(p: XxzParams, k: int):
+    """(rho_S, M, Tr[rho V], ||H phi_k - E_k phi_k||) of |phi_k>, from its N
+    amplitudes under the Pauli strings of H and V.
+
+    With r_i = <s_i x I>, c = (-j, -j, -j_z) and P_k = s_k on sites 2 and N,
+    V = sum_k c_k s_k x P_k, so that rho_S = (I + r.s)/2,
+    M_ik = -(r_i h_k + c_k <s_i x P_k>) with h = (0, 0, eps), and
+    Tr[rho V] = sum_k c_k <s_k x P_k>.  H phi_k stays on the one-flip
+    sector; its images are coalesced by index for the Bethe residual.
+    """
+    n = p.n_sites
+    idx, amp = xxz_plane_wave(p, k)
+    terms = [(p.epsilon, _pauli(n, (s, "z"))) for s in range(1, n + 1)]
+    for s in range(1, n + 1):
+        t = s % n + 1
+        terms += [(-c, _pauli(n, (s, a), (t, a))) for c, a in zip((p.j, p.j, p.j_z), "xyz")]
+    images = [_apply(string, idx, c * amp) for c, string in terms]
+    images.append((idx, -xxz_bethe_energy(p, k) * amp))
+    _, inv = np.unique(np.concatenate([i for i, _ in images]), return_inverse=True)
+    hpsi = np.concatenate([a for _, a in images])
+    coalesced = np.bincount(inv, hpsi.real) + 1j * np.bincount(inv, hpsi.imag)
+    residual = float(np.linalg.norm(coalesced))
+    axes = "xyz"
+    r = np.array([_expect(_pauli(n, (1, a)), idx, amp).real for a in axes])
+    coupling = np.array([-p.j, -p.j, -p.j_z])
+    cross = np.array([
+        [sum(_expect(_pauli(n, (1, a), (e, b)), idx, amp).real for e in (2, n)) for b in axes]
+        for a in axes
+    ]) * coupling
+    m = -(np.outer(r, [0.0, 0.0, p.epsilon]) + cross)
+    rho_s = 0.5 * (np.eye(2) + r[0] * _SX + r[1] * _SY + r[2] * _SZ)
+    return rho_s, m, float(np.trace(cross)), residual
 
 
 def xxz_bethe_energy(p: XxzParams, k: int) -> float:

@@ -357,6 +357,47 @@ def jc_row(p, phi, alpha, n, dynamical):
     return phi, value, e_off, d_off
 
 
+def _site_op(op: np.ndarray, i: int, n: int) -> np.ndarray:
+    out = np.array([[1.0]], dtype=np.complex128)
+    for k in range(n):
+        out = np.kron(out, op if k == i else I2)
+    return out
+
+
+def kron_xxz_system(p: models.XxzParams) -> models.HamiltonianParts:
+    """Split ring Hamiltonian on 2 x 2^(N-1), from N-fold Kronecker chains.
+
+    H = eps sum_i sz_i - sum_i [ j (sx_i sx_{i+1} + sy_i sy_{i+1})
+                                 + j_z sz_i sz_{i+1} ]  (periodic).
+    v collects the two bonds touching site 1:
+    v = -j (sx x X_E + sy x Y_E) - j_z sz x Z_E with X_E = sx_2 + sx_N etc.
+    The oracle of models.xxz_system, which builds the same parts from bits.
+    """
+    n = p.n_sites
+    ne = n - 1  # environment sites 2..N in ring order
+    x_e = _site_op(SX, 0, ne) + _site_op(SX, ne - 1, ne)
+    y_e = _site_op(SY, 0, ne) + _site_op(SY, ne - 1, ne)
+    z_e = _site_op(SZ, 0, ne) + _site_op(SZ, ne - 1, ne)
+    v = -(
+        p.j * (qmat.tensor_product(SX, x_e) + qmat.tensor_product(SY, y_e))
+        + p.j_z * qmat.tensor_product(SZ, z_e)
+    )
+    h_s = p.epsilon * SZ
+    h_e = p.epsilon * sum(_site_op(SZ, i, ne) for i in range(ne))
+    for i in range(ne - 1):  # bonds among sites 2..N, open segment
+        h_e = h_e - (
+            p.j
+            * (
+                _site_op(SX, i, ne) @ _site_op(SX, i + 1, ne)
+                + _site_op(SY, i, ne) @ _site_op(SY, i + 1, ne)
+            )
+            + p.j_z * _site_op(SZ, i, ne) @ _site_op(SZ, i + 1, ne)
+        )
+    return models.HamiltonianParts(
+        qmat.hermitize(h_s), qmat.hermitize(h_e), qmat.hermitize(v)
+    )
+
+
 def non_tight_qutrit_fixtures():
     """(name, rho, v, sdp value, best unitary value) on 3 x 3 with h_S = h_E = 0.
 

@@ -405,8 +405,8 @@ def test_xxz_sweep_consistency(tmp_path, capsys):
 
 
 def test_xxz_sweep_builds_ring_once(tmp_path, capsys, monkeypatch):
-    # one dense ring build per invocation; the rows equal those of a system
-    # built per k through the library wrapper
+    # one dense ring build per invocation, for the probe; every row agrees
+    # cell by cell with a system built per k through the library wrapper
     calls = []
     true_system = models.xxz_system
 
@@ -422,8 +422,13 @@ def test_xxz_sweep_builds_ring_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
     p = models.XxzParams(6, 0.7, 0.13, 0.3)
-    lines = [out_file.read_text().splitlines()[0]]
-    for k in range(-2, 4):
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == (
+        "k,energy,delta_off,switch_off,local_analytic,local_numeric,"
+        "bethe_residual,analytic_numeric_gap"
+    )
+    assert len(lines) == 7
+    for k, line in zip(range(-2, 4), lines[1:]):
         psi = models.xxz_bethe_state(p, k)
         system = models.xxz_bipartite(p, psi)
         e_k = models.xxz_bethe_energy(p, k)
@@ -431,17 +436,71 @@ def test_xxz_sweep_builds_ring_once(tmp_path, capsys, monkeypatch):
         numeric = local.qubit_local_ergotropy(local.build_m_matrix(system)).value
         try:
             analytic = models.xxz_analytic(p, k).local_ergotropy
-            gap = cli._fmt(abs(analytic - numeric))
-            analytic = cli._fmt(analytic)
+            gap = abs(analytic - numeric)
         except models.RegimeError:
-            analytic = gap = ""
-        cells = [
-            str(k), cli._fmt(e_k), cli._fmt(ergotropy.delta_off(system)),
-            cli._fmt(ergotropy.switch_off_ergotropy(system)), analytic,
-            cli._fmt(numeric), cli._fmt(residual), gap,
+            analytic = gap = None
+        ref = [
+            k, e_k, ergotropy.delta_off(system), ergotropy.switch_off_ergotropy(system),
+            analytic, numeric, residual, gap,
         ]
-        lines.append(",".join(cells))
-    assert out_file.read_text() == "\n".join(lines) + "\n"
+        cells = line.split(",")
+        assert int(cells[0]) == k
+        for cell, r in zip(cells[1:], ref[1:]):
+            if r is None:
+                assert cell == ""
+            else:
+                assert abs(float(cell) - r) <= 1e-12
+
+
+def test_xxz_plane_wave_rows_match_dense_rows():
+    # every k at N = 3..10 and three parameter sets, the last with an axial
+    # coupling outside the closed branch's regime; the probe runs the dense
+    # per-k pipeline and raises on a difference above 1e-12 max(1, |ref|)
+    for params in ((1.0, 0.05, 0.2), (0.7, 0.13, 0.3), (0.3, 0.4, -0.5)):
+        for n in range(3, 11):
+            p = models.XxzParams(n, *params)
+            for row in cli._xxz_rows(p, list(range(-(n // 2) + 1, n // 2 + 1))):
+                cli._xxz_probe(p, row)
+                assert row["energy"] == models.xxz_bethe_energy(p, row["k"])
+
+
+@pytest.mark.parametrize("sites", [16, 62])
+def test_xxz_plane_wave_sweep_past_dense_limit(tmp_path, capsys, sites):
+    # no dense oracle runs here; the closed forms check every row
+    out_file = tmp_path / "ring.csv"
+    code, _, _ = run_cli(capsys, "xxz", "--sites", str(sites), "--k-sweep", "-o", str(out_file))
+    assert code == 0
+    p = models.XxzParams(sites)
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == sites + 1
+    for line in lines[1:]:
+        k, energy, d_off, e_off, l_an, l_num, resid, gap = line.split(",")
+        tri = models.xxz_analytic(p, int(k))
+        assert abs(float(energy) - models.xxz_bethe_energy(p, int(k))) <= 1e-9
+        assert abs(float(d_off) - tri.delta_off) <= 1e-9
+        assert abs(float(e_off) - tri.switch_off) <= 1e-9
+        assert abs(float(l_an) - tri.local_ergotropy) <= 1e-9
+        assert abs(float(l_num) - tri.local_ergotropy) <= 1e-9
+        assert 0.0 <= float(resid) <= 1e-10
+        assert float(gap) <= 1e-9
+
+
+def test_xxz_probe_rejects_wrong_dense_state(tmp_path, capsys, monkeypatch):
+    # a dense state of the wrong momentum: the plane-wave rows are right, so
+    # only the dense probe at the first k can catch it
+    true_state = models.xxz_bethe_state
+
+    def shifted(p, k):
+        return true_state(p, k + 1)
+
+    monkeypatch.setattr(models, "xxz_bethe_state", shifted)
+    out_file = tmp_path / "ring.csv"
+    code, _, err = run_cli(
+        capsys, "xxz", "--sites", "8", "--j", "0.1", "--k-sweep", "-o", str(out_file)
+    )
+    assert code == 3
+    assert "probe" in err
+    assert not out_file.exists()
 
 
 def test_xxz_small_ring_reversal_rows(tmp_path, capsys):
@@ -456,9 +515,9 @@ def test_xxz_small_ring_reversal_rows(tmp_path, capsys):
 
 
 def test_xxz_refuses_large_dense(capsys):
-    code, _, err = run_cli(capsys, "xxz", "--sites", "20", "--k", "0")
+    code, _, err = run_cli(capsys, "xxz", "--sites", "63", "--k", "0")
     assert code == 2
-    assert "14" in err
+    assert "62" in err
 
 
 def test_xxz_k_out_of_range(capsys):

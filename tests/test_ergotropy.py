@@ -236,6 +236,16 @@ def test_switch_off_matches_definition():
 # product-state effective Hamiltonian
 
 
+def test_effective_product_rejects_invalid_rho_s():
+    rng = np.random.default_rng(9)
+    rho_e = qmat.random_density(3, rng)
+    h_s = qmat.random_hermitian(2, rng)
+    v = np.zeros((6, 6))
+    for rho_s in (np.diag([0.6, 0.6]), np.diag([1.2, -0.2])):
+        with pytest.raises(ValueError):
+            ergotropy.effective_local_ergotropy_product(rho_s, rho_e, h_s, v)
+
+
 def test_effective_product_no_coupling():
     rng = np.random.default_rng(9)
     rho_s = qmat.random_density(2, rng)

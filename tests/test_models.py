@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergoloc import ergotropy, local, models, qmat
-from helpers import brute_local_max, model_hamiltonian
+from helpers import brute_local_max, kron_xxz_system, model_hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,29 @@ def test_xxz_ising_limit_diagonal():
 def test_xxz_guard_on_size():
     with pytest.raises(ValueError):
         models.xxz_system(models.XxzParams(20))
+    with pytest.raises(ValueError):
+        models.xxz_system(models.XxzParams(models.XXZ_MAX_SITES + 1))
+    with pytest.raises(ValueError):
+        models.xxz_plane_wave(models.XxzParams(models.XXZ_PLANE_WAVE_MAX_SITES + 1), 0)
+
+
+def test_xxz_system_matches_kron_builder():
+    for params in ((1.0, 0.05, 0.2), (0.7, 0.13, 0.3), (0.3, 0.4, -0.5)):
+        for n in range(3, 10):
+            p = models.XxzParams(n, *params)
+            for got, ref in zip(models.xxz_system(p), kron_xxz_system(p)):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_xxz_plane_wave_is_the_bethe_state():
+    p = models.XxzParams(7)
+    for k in range(-2, 4):
+        idx, amp = models.xxz_plane_wave(p, k)
+        psi = models.xxz_bethe_state(p, k)
+        assert np.all(np.diff(idx) > 0)
+        assert np.array_equal(np.flatnonzero(psi), idx)
+        assert np.array_equal(psi[idx], amp)
 
 
 def test_bethe_states_eigenvectors_and_orthonormal():
