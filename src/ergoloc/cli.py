@@ -35,16 +35,31 @@ class InputError(Exception):
 
 
 def _parse_angle(text: str) -> float:
-    """Float with optional pi suffix: '0.4pi' -> 0.4*pi."""
+    """Finite float with optional pi suffix: '0.4pi' -> 0.4*pi."""
     t = text.strip().lower()
     try:
         if t.endswith("pi"):
             head = t[:-2].strip()
             factor = 1.0 if head in ("", "+") else (-1.0 if head == "-" else float(head))
-            return factor * np.pi
-        return float(t)
+            value = factor * np.pi
+        else:
+            value = float(t)
     except ValueError as exc:
         raise InputError(f"cannot parse angle {text!r}") from exc
+    if not np.isfinite(value):
+        raise InputError(f"angle must be finite, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and inf are refused (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -330,17 +345,14 @@ def _xxz_probe(p, row) -> None:
     """Compare one plane-wave row with the dense per-k pipeline at its k."""
     k = row["k"]
     psi = models.xxz_bethe_state(p, k)
-    system = qmat.BipartiteSystem.build(
-        2, 2 ** (p.n_sites - 1), np.outer(psi, psi.conj()), *models.xxz_system(p)
-    )
-    h = system.total_hamiltonian()
+    system = models.xxz_bipartite(p, psi)
+    # H psi first, so the dense H is freed before the reductions run
+    h_psi = system.total_hamiltonian() @ psi
     ref = {
         "delta_off": ergotropy.delta_off(system),
         "switch_off": ergotropy.switch_off_ergotropy(system),
         "local_numeric": local.qubit_local_ergotropy(local.build_m_matrix(system)).value,
-        "bethe_residual": float(
-            np.linalg.norm(h @ psi - models.xxz_bethe_energy(p, k) * psi)
-        ),
+        "bethe_residual": float(np.linalg.norm(h_psi - models.xxz_bethe_energy(p, k) * psi)),
     }
     for name, r in ref.items():
         if abs(row[name] - r) > _PROBE_TOL * max(1.0, abs(r)):
@@ -505,17 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     l.add_argument("--restarts", type=int, default=32)
     l.add_argument("--max-iterations", type=int, default=5000)
-    l.add_argument("--gtol", type=float, default=1e-9)
-    l.add_argument("--sdp-tol", type=float, default=sdp.DEFAULT_TOL)
+    l.add_argument("--gtol", type=_finite_float, default=1e-9)
+    l.add_argument("--sdp-tol", type=_finite_float, default=sdp.DEFAULT_TOL)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("-o", "--output")
     l.set_defaults(func=cmd_local)
 
     j = sub.add_parser("jc", help="atom-cavity phase-family sweep (CSV)")
     j.add_argument("--n", type=int, default=10, help="photon level of the dressed pair")
-    j.add_argument("--omega-s", type=float, default=1.0)
-    j.add_argument("--omega-e", type=float, default=1.2)
-    j.add_argument("--rabi", type=float, default=0.1)
+    j.add_argument("--omega-s", type=_finite_float, default=1.0)
+    j.add_argument("--omega-e", type=_finite_float, default=1.2)
+    j.add_argument("--rabi", type=_finite_float, default=0.1)
     j.add_argument("--alpha", default="0.4pi", help="mixing angle (pi suffix allowed)")
     j.add_argument("--sweep-phi", default="0:20pi:2000", help="start:stop:steps")
     j.add_argument("--dynamical-phase", action="store_true",
@@ -527,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("xxz", help="spin-ring plane-wave table (CSV or JSON)")
     x.add_argument("--sites", type=int, required=True)
-    x.add_argument("--epsilon", type=float, default=1.0)
-    x.add_argument("--j", type=float, default=0.05)
-    x.add_argument("--jz", type=float, default=0.2)
+    x.add_argument("--epsilon", type=_finite_float, default=1.0)
+    x.add_argument("--j", type=_finite_float, default=0.05)
+    x.add_argument("--jz", type=_finite_float, default=0.2)
     x.add_argument("--k", type=int, default=None)
     x.add_argument("--k-sweep", action="store_true")
     x.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -544,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ds", type=int, required=True)
     e.add_argument("--de", type=int, required=True)
     e.add_argument("--solve", action="store_true", help="round-trip through the solver")
-    e.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
+    e.add_argument("--tol", type=_finite_float, default=sdp.DEFAULT_TOL)
     e.add_argument("--max-iterations", type=int, default=100)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=cmd_export_sdp)

@@ -133,8 +133,11 @@ def classical_local_ergotropy(p: np.ndarray, e: np.ndarray) -> tuple[float, np.n
 
 
 def delta_off(system) -> float:
-    """Energy cost of quenching the coupling: -Tr[rho V]."""
-    return float(-np.sum(system.rho * system.v.T).real)
+    """Energy cost of quenching the coupling: -Tr[rho V].
+
+    Tr[rho V] = sum_ij conj(V_ij) rho_ij, since V is stored Hermitian.
+    """
+    return float(-np.vdot(system.v, system.rho).real)
 
 
 def switch_off_ergotropy(system) -> float:

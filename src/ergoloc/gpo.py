@@ -142,9 +142,15 @@ class BlochDecomposition:
 
 
 def s_partial_traces(op, basis: GpoBasis, d_e: int) -> np.ndarray:
-    """Tr_S[(s^i x I) op] for every s^i of the S basis, a (d_S^2-1, d_E, d_E) stack."""
-    d_s = basis.dim
-    return np.einsum("iba,aebf->ief", basis.elements, op.reshape(d_s, d_e, d_s, d_e))
+    """Tr_S[(s^i x I) op] for every s^i of the S basis, a (d_S^2-1, d_E, d_E) stack.
+
+    One GEMM: the rows s^i_ba against the (a, b) blocks of op, each block
+    flattened to d_E^2 entries.
+    """
+    d_s, k = basis.dim, len(basis)
+    blocks = op.reshape(d_s, d_e, d_s, d_e).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_e * d_e)
+    rows = basis.elements.transpose(0, 2, 1).reshape(k, d_s * d_s)
+    return (rows @ blocks).reshape(k, d_e, d_e)
 
 
 def product_operator(coeff, basis_s: GpoBasis, basis_e: GpoBasis) -> np.ndarray:

@@ -111,13 +111,12 @@ def jc_system(p: JcParams) -> HamiltonianParts:
 
 
 def jc_bipartite(p: JcParams, rho_or_psi: np.ndarray) -> BipartiteSystem:
-    """Wrap a joint state (vector or density matrix) with the model operators."""
-    parts = jc_system(p)
-    d_e = p.n_max + 1
-    state = np.asarray(rho_or_psi, dtype=np.complex128)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    return BipartiteSystem.build(2, d_e, state, *parts)
+    """Wrap a joint state with the model operators.
+
+    A state vector goes to BipartiteSystem.build as it is, which checks its
+    norm instead of the positivity of a density matrix.
+    """
+    return BipartiteSystem.build(2, p.n_max + 1, rho_or_psi, *jc_system(p))
 
 
 def jc_mixing_angle(p: JcParams, n: int) -> float:
@@ -281,11 +280,13 @@ def xxz_system(p: XxzParams) -> HamiltonianParts:
 
 
 def xxz_bipartite(p: XxzParams, rho_or_psi: np.ndarray) -> BipartiteSystem:
-    parts = xxz_system(p)
-    state = np.asarray(rho_or_psi, dtype=np.complex128)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    return BipartiteSystem.build(2, 2 ** (p.n_sites - 1), state, *parts)
+    """Wrap a ring state (vector or density matrix) with the dense xxz_system.
+
+    A state vector, such as xxz_bethe_state, goes to BipartiteSystem.build
+    as it is, which checks its norm instead of the positivity of a 2^N-square
+    density matrix.
+    """
+    return BipartiteSystem.build(2, 2 ** (p.n_sites - 1), rho_or_psi, *xxz_system(p))
 
 
 def _k_range(n: int) -> range:

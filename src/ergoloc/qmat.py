@@ -44,17 +44,40 @@ def hermiticity_drift(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) / scale
 
 
+def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
+    """(A + A†)/2, formed in place in ``ah``, a fresh copy of A†.
+
+    IEEE addition commutes, so this equals ``(a + a.conj().T) / 2`` bit for
+    bit.
+    """
+    ah += a
+    ah /= 2.0
+    return ah
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.conjugate(a.T, out=np.empty_like(a))
+
+
 def hermitize(a, tol: float = HERM_TOL) -> np.ndarray:
     """Return (A + A†)/2, absorbing floating-point drift up to ``tol``.
 
-    A relative drift above ``tol`` is treated as a modelling error and raises.
+    A relative drift above ``tol`` is treated as a modelling error and raises,
+    as does a non-finite entry.  The drift is read from the one copy of A†
+    that then becomes the result.
     """
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if hermiticity_drift(a) > tol:
+    ah = _adjoint(a)
+    mag = np.abs(a)
+    scale = float(np.max(mag))
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    np.abs(a - ah, out=mag)
+    if float(np.max(mag)) / max(1.0, scale) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (a + a.conj().T) / 2.0
+    return _hermitian_part(a, ah)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -116,25 +139,49 @@ class BipartiteSystem:
 
     @classmethod
     def build(cls, d_s, d_e, rho, h_s, h_e=None, v=None, tol: float = HERM_TOL):
+        """Check and store a system; rho is a density matrix or a pure state.
+
+        A 2-D rho is Hermitized and must have unit trace and no eigenvalue
+        below -1e-10.  A 1-D rho is a state vector psi of length d_s*d_e:
+        its entries must be finite and |‖psi‖² - 1| <= 1e-10, and the stored
+        rho is the Hermitian part of psi psi†, the same array the 2-D form
+        stores for np.outer(psi, psi.conj()).  That matrix is PSD by
+        construction and Hermitian up to the rounding of its products, so
+        neither the drift check nor the O(n^3) positivity check runs on it.
+        """
         d_s, d_e = int(d_s), int(d_e)
         n = d_s * d_e
-        rho = hermitize(rho, tol)
-        if rho.shape != (n, n):
-            raise ValueError(f"rho must be {n}x{n}, got {rho.shape}")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"rho must have unit trace, got {tr}")
-        # up to rounding, lambda_min(rho) > -1e-10 iff rho + 1e-10 I has a
-        # Cholesky factor; the spectrum is computed only to confirm and
-        # report a failure
-        shifted = rho.copy()
-        shifted.flat[:: n + 1] += 1e-10
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh(rho)[0])
-            if wmin < -1e-10:
-                raise ValueError(f"rho must be positive semidefinite, min eig {wmin}") from None
+        rho = _as_complex(rho)
+        if rho.ndim == 1:
+            if rho.shape != (n,):
+                raise ValueError(f"state vector must have length {n}, got {rho.shape[0]}")
+            if not np.all(np.isfinite(rho)):
+                raise ValueError("state vector has non-finite entries")
+            norm2 = float(np.vdot(rho, rho).real)
+            if abs(norm2 - 1.0) > 1e-10:
+                raise ValueError(f"state vector must have unit norm, got |psi|^2 = {norm2}")
+            rho = np.outer(rho, rho.conj())
+            rho = _hermitian_part(rho, _adjoint(rho))
+        else:
+            rho = hermitize(rho, tol)
+            if rho.shape != (n, n):
+                raise ValueError(f"rho must be {n}x{n}, got {rho.shape}")
+            tr = np.trace(rho).real
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"rho must have unit trace, got {tr}")
+            # up to rounding, lambda_min(rho) > -1e-10 iff rho + 1e-10 I has a
+            # Cholesky factor; the spectrum is computed only to confirm and
+            # report a failure
+            shifted = rho.copy()
+            shifted.flat[:: n + 1] += 1e-10
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                wmin = float(np.linalg.eigvalsh(rho)[0])
+                if wmin < -1e-10:
+                    raise ValueError(
+                        f"rho must be positive semidefinite, min eig {wmin}"
+                    ) from None
         h_s = hermitize(h_s, tol)
         if h_s.shape != (d_s, d_s):
             raise ValueError("h_s has the wrong dimension")
@@ -160,11 +207,16 @@ class BipartiteSystem:
         return partial_trace(self.rho, self.d_s, self.d_e, side="S")
 
     def total_hamiltonian(self) -> np.ndarray:
-        return (
-            tensor_product(self.h_s, np.eye(self.d_e))
-            + tensor_product(np.eye(self.d_s), self.h_e)
-            + self.v
-        )
+        """h_s x I + I x h_e + v, summed in that order in one n x n array."""
+        d_s, d_e = self.d_s, self.d_e
+        h = np.zeros((d_s, d_e, d_s, d_e), dtype=np.complex128)
+        blocks = np.einsum("aebe->abe", h)  # writable view of the e == f entries
+        blocks += self.h_s[:, :, None]
+        blocks = np.einsum("aeaf->aef", h)  # writable view of the a == b entries
+        blocks += self.h_e
+        h = h.reshape(d_s * d_e, d_s * d_e)
+        h += self.v
+        return h
 
     def energy(self) -> float:
         """Tr[rho H] as sum_ij conj(H_ij) rho_ij, in O(n^2) for Hermitian H."""

@@ -29,6 +29,12 @@ def random_coupling(d_s, d_e, rng, scale=1.0):
     return v.reshape(d_s * d_e, d_s * d_e)
 
 
+def generic_coupling(d_s, d_e, rng):
+    """Random Hermitian V with Tr_S[V] = 0 and S-local parts, in O(n^2) memory."""
+    v = qmat.random_hermitian(d_s * d_e, rng)
+    return v - np.kron(np.eye(d_s), qmat.partial_trace(v, d_s, d_e, side="S")) / d_s
+
+
 def random_system(d_s, d_e, rng, v_scale=1.0, h_scale=1.0, rank=None):
     return qmat.BipartiteSystem.build(
         d_s,
@@ -38,6 +44,27 @@ def random_system(d_s, d_e, rng, v_scale=1.0, h_scale=1.0, rank=None):
         qmat.random_hermitian(d_e, rng, scale=h_scale),
         random_coupling(d_s, d_e, rng, scale=v_scale),
     )
+
+
+def kron_total_hamiltonian(system):
+    """h_s x I + I x h_e + v from Kronecker products: the oracle of
+    BipartiteSystem.total_hamiltonian."""
+    return (
+        qmat.tensor_product(system.h_s, np.eye(system.d_e))
+        + qmat.tensor_product(np.eye(system.d_s), system.h_e)
+        + system.v
+    )
+
+
+def einsum_s_partial_traces(op, basis, d_e):
+    """Tr_S[(s^i x I) op] by one einsum: the oracle of gpo.s_partial_traces."""
+    d_s = basis.dim
+    return np.einsum("iba,aebf->ief", basis.elements, op.reshape(d_s, d_e, d_s, d_e))
+
+
+def elementwise_delta_off(system):
+    """-Tr[rho V] as sum_ij rho_ij V_ji: the oracle of ergotropy.delta_off."""
+    return float(-np.sum(system.rho * system.v.T).real)
 
 
 def model_hamiltonian(parts, d_s, d_e):
@@ -270,9 +297,13 @@ def apply_channel_local(kraus, rho, d_s, d_e):
 
 
 def direct_objective(system, u):
-    w = np.kron(u, np.eye(system.d_e))
-    h = system.total_hamiltonian()
-    return float(np.trace(h @ (system.rho - w @ system.rho @ w.conj().T)).real)
+    return _dense_objective(kron_total_hamiltonian(system), system.rho, np.eye(system.d_e), u)
+
+
+def _dense_objective(h, rho, eye_e, u):
+    """Tr[H (rho - W rho W†)] with W = U x I, from the dense joint operators."""
+    w = np.kron(u, eye_e)
+    return float(np.trace(h @ (rho - w @ rho @ w.conj().T)).real)
 
 
 def _unitary_from_params(params, d):
@@ -294,13 +325,15 @@ def brute_local_max(system, tries=30, seed=0):
     """Independent maximization of the local extraction functional."""
     d = system.d_s
     n_params = d * d
+    # H and the E identity are fixed for the system; only U varies
+    h, eye_e = kron_total_hamiltonian(system), np.eye(system.d_e)
     best = 0.0  # identity is always feasible
     for t in range(tries):
         rng = np.random.default_rng(seed * 1000 + t)
         x0 = rng.normal(size=n_params)
 
         def neg(p):
-            return -direct_objective(system, _unitary_from_params(p, d))
+            return -_dense_objective(h, system.rho, eye_e, _unitary_from_params(p, d))
 
         res = minimize(neg, x0, method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
         best = max(best, -res.fun)

@@ -57,6 +57,23 @@ def test_global_malformed_input(tmp_path, capsys):
     assert "error" in err.lower() or "cannot parse" in err
 
 
+def _argparse_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_global_rejects_non_finite_matrix(tmp_path, capsys):
+    ham = tmp_path / "h.json"
+    qmat.save_matrix(ham, np.diag([0.0, 1.0]))
+    for bad in (float("nan"), float("inf")):
+        state = tmp_path / "rho.json"
+        qmat.save_matrix(state, np.array([[bad, 0.0], [0.0, 0.5]]))
+        code, out, err = run_cli(capsys, "global", "--state", str(state), "--ham", str(ham))
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
+
 def test_global_missing_file(tmp_path, capsys):
     ham = tmp_path / "h.json"
     qmat.save_matrix(ham, np.eye(2))
@@ -230,6 +247,26 @@ def test_local_closed_requires_qubit(tmp_path, capsys):
     assert code == 2
 
 
+def test_local_rejects_non_finite_input(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    system = random_system(2, 2, rng)
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    v = system.v.copy()
+    v[1, 2] = complex(0.0, np.nan)
+    qmat.save_matrix(tmp_path / "v_nan.json", v)
+    args = ["--state", state_f, "--hs", hs_f, "--ds", "2", "--de", "2"]
+    code, out, err = run_cli(capsys, "local", *args, "--v", str(tmp_path / "v_nan.json"))
+    assert (code, out) == (2, "")
+    assert "non-finite" in err
+    for opt in ("--gtol", "--sdp-tol"):
+        code, err = _argparse_exit(capsys, "local", *args, "--v", v_f, opt, "nan")
+        assert code == 2 and "must be finite" in err
+    code, err = _argparse_exit(
+        capsys, "export-sdp", *args, "-o", str(tmp_path / "inst.json"), "--tol", "inf"
+    )
+    assert code == 2 and "must be finite" in err
+
+
 def test_local_no_coupling_equals_free(tmp_path, capsys):
     from ergoloc import ergotropy
 
@@ -375,6 +412,22 @@ def test_jc_probe_check_rejects_non_affine_family(tmp_path, capsys, monkeypatch)
 def test_jc_invalid_sweep(capsys):
     code, _, err = run_cli(capsys, "jc", "--sweep-phi", "0:1")
     assert code == 2
+
+
+def test_jc_rejects_non_finite_input(capsys):
+    for argv in (["--alpha", "nan"], ["--alpha", "infpi"], ["--sweep-phi", "0:inf:3"]):
+        code, out, err = run_cli(capsys, "jc", *argv)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+    for opt in ("--omega-s", "--omega-e", "--rabi"):
+        code, err = _argparse_exit(capsys, "jc", opt, "nan")
+        assert code == 2 and "must be finite" in err
+
+
+def test_xxz_rejects_non_finite_input(capsys):
+    for arg in ("--epsilon=nan", "--j=inf", "--jz=-inf"):
+        code, err = _argparse_exit(capsys, "xxz", "--sites", "6", "--k", "1", arg)
+        assert code == 2 and "must be finite" in err
 
 
 def test_xxz_deterministic_output(tmp_path, capsys):

@@ -5,6 +5,8 @@ from ergoloc import ergotropy, local, models, qmat
 from helpers import (
     brute_assignment_min,
     brute_local_max,
+    elementwise_delta_off,
+    generic_coupling,
     max_entangled_two_level,
     model_hamiltonian,
     random_coupling,
@@ -201,6 +203,22 @@ def test_delta_off_is_minus_mean_coupling():
     system = random_system(2, 4, rng)
     direct = -np.trace(system.rho @ system.v).real
     assert abs(ergotropy.delta_off(system) - direct) < 1e-14
+
+
+def test_delta_off_matches_elementwise_form():
+    # relative to sum_ij |rho_ij V_ji|, the scale of the sum's rounding
+    rng = np.random.default_rng(10)
+    for d_s in (2, 3, 4):
+        for d_e in (1, 2, 5, 32):
+            n = d_s * d_e
+            for state in (qmat.random_density(n, rng), random_state_vector(n, rng)):
+                system = qmat.BipartiteSystem.build(
+                    d_s, d_e, state, qmat.random_hermitian(d_s, rng), None,
+                    generic_coupling(d_s, d_e, rng),
+                )
+                ref = elementwise_delta_off(system)
+                scale = np.sum(np.abs(system.rho * system.v.T))
+                assert abs(ergotropy.delta_off(system) - ref) <= 1e-14 * scale
 
 
 def test_delta_off_dressed_states():

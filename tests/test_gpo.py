@@ -7,6 +7,8 @@ from helpers import (
     SX,
     SY,
     SZ,
+    einsum_s_partial_traces,
+    generic_coupling,
     psd_ball_radius,
     random_coupling,
     random_system,
@@ -218,3 +220,16 @@ def test_coupling_sampler_is_traceless_both_sides():
     v = random_coupling(3, 4, rng)
     assert np.max(np.abs(qmat.partial_trace(v, 3, 4, "S"))) < 1e-13
     assert np.max(np.abs(qmat.partial_trace(v, 3, 4, "E"))) < 1e-13
+
+
+@pytest.mark.parametrize("d_s", [2, 3, 4])
+def test_s_partial_traces_match_einsum_form(d_s):
+    rng = np.random.default_rng(50 + d_s)
+    basis = gpo.gpo_basis(d_s)
+    for d_e in (1, 2, 5, 32):
+        n = d_s * d_e
+        for op in (qmat.random_density(n, rng), generic_coupling(d_s, d_e, rng)):
+            got = gpo.s_partial_traces(op, basis, d_e)
+            ref = einsum_s_partial_traces(op, basis, d_e)
+            assert got.shape == ref.shape == (d_s * d_s - 1, d_e, d_e)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

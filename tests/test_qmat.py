@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from ergoloc import qmat
-from helpers import I2, SX, SZ, norms, partial_transpose_s, random_coupling, random_system
+from helpers import (
+    I2,
+    SX,
+    SZ,
+    generic_coupling,
+    kron_total_hamiltonian,
+    norms,
+    partial_transpose_s,
+    random_coupling,
+    random_state_vector,
+    random_system,
+)
 
 
 def test_tensor_identity():
@@ -166,6 +177,83 @@ def test_hermitize_absorbs_noise_rejects_garbage():
     assert qmat.hermiticity_drift(fixed) == 0.0
     with pytest.raises(ValueError):
         qmat.hermitize(np.triu(np.ones((4, 4))))
+
+
+def test_hermitize_is_bitwise_the_mean_with_the_adjoint():
+    rng = np.random.default_rng(40)
+    for n, scale in ((1, 1.0), (2, 1e-3), (7, 1.0), (64, 1e6), (300, 1.0)):
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = qmat.random_hermitian(n, rng, scale) + 1e-12 * scale * noise
+        for x in (a, a.real):
+            x = np.ascontiguousarray(x)
+            expected = (x + x.conj().T) / 2
+            got = qmat.hermitize(x)
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert got.tobytes() == np.asarray(expected, dtype=np.complex128).tobytes()
+    a = qmat.random_hermitian(8, rng)
+    a[0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qmat.hermitize(a)
+    assert qmat.hermiticity_drift(qmat.hermitize(a, tol=1e-6)) == 0.0
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        b = qmat.random_hermitian(4, rng)
+        b[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qmat.hermitize(b)
+
+
+def test_total_hamiltonian_matches_kron_form_exactly():
+    rng = np.random.default_rng(41)
+    for d_s in (2, 3, 4):
+        for d_e in (1, 2, 5, 32):
+            n = d_s * d_e
+            system = qmat.BipartiteSystem.build(
+                d_s, d_e, qmat.random_density(n, rng), qmat.random_hermitian(d_s, rng),
+                qmat.random_hermitian(d_e, rng), generic_coupling(d_s, d_e, rng),
+            )
+            assert np.array_equal(system.total_hamiltonian(), kron_total_hamiltonian(system))
+
+
+def test_build_from_state_vector_equals_outer_product_build():
+    rng = np.random.default_rng(42)
+    for d_s, d_e in ((2, 1), (2, 3), (3, 4), (4, 8), (2, 256)):
+        n = d_s * d_e
+        psi = random_state_vector(n, rng)
+        parts = (
+            qmat.random_hermitian(d_s, rng), qmat.random_hermitian(d_e, rng),
+            generic_coupling(d_s, d_e, rng),
+        )
+        got = qmat.BipartiteSystem.build(d_s, d_e, psi, *parts)
+        ref = qmat.BipartiteSystem.build(d_s, d_e, np.outer(psi, psi.conj()), *parts)
+        assert (got.d_s, got.d_e) == (ref.d_s, ref.d_e)
+        for name in ("rho", "h_s", "h_e", "v"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert qmat.hermiticity_drift(got.rho) == 0.0
+
+
+def test_build_from_state_vector_rejections():
+    rng = np.random.default_rng(43)
+    psi = random_state_vector(6, rng)
+    h_s = qmat.random_hermitian(2, rng)
+    qmat.BipartiteSystem.build(2, 3, psi * np.sqrt(1 + 1e-11), h_s)
+    with pytest.raises(ValueError, match="length 6"):
+        qmat.BipartiteSystem.build(2, 3, psi[:4], h_s)
+    with pytest.raises(ValueError, match="unit norm"):
+        qmat.BipartiteSystem.build(2, 3, psi * np.sqrt(1 + 1e-9), h_s)
+    for bad in (np.nan, np.inf, complex(1, np.nan)):
+        phi = psi.copy()
+        phi[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qmat.BipartiteSystem.build(2, 3, phi, h_s)
+    # a 2-D state keeps its trace and positivity checks
+    rho = np.diag([1.5, -0.5, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(ValueError, match="min eig"):
+        qmat.BipartiteSystem.build(2, 3, rho, h_s)
+    nan_rho = np.outer(psi, psi.conj())
+    nan_rho[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        qmat.BipartiteSystem.build(2, 3, nan_rho, h_s)
 
 
 def test_matrix_json_roundtrip(tmp_path):
