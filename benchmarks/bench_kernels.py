@@ -2,12 +2,13 @@
 
 Run:  python benchmarks/bench_kernels.py
 
-Times the local-unitary ascent and the interior-point solve of the
-unital-channel SDP at d_S = 2, 3 and 4, both on the cost operator C that
-sdp.choi_cost builds from M and Tr[H rho], the whole local optimizer at
-(d_S, d_E) = (3, 3) as a default call (build C, solve the relaxation, round
-and polish it) and as the restart-only fallback with its 32 restarts (C
-handed in without a solution), and the 2000-point atom-cavity phase sweep
+Times the Riemannian Newton ascent over local unitaries from a Haar start
+and the interior-point solve of the unital-channel SDP at d_S = 2, 3 and 4,
+both on the cost operator C that sdp.choi_cost builds from M and
+Tr[H rho], the whole local optimizer at (d_S, d_E) = (3, 3) as a default
+call (build C, solve the relaxation, round it and Newton-polish it) and as
+the restart-only fallback with its 32 Newton restarts (C handed in without
+a solution), and the 2000-point atom-cavity phase sweep
 of `ergoloc jc` (three anchor reductions, the probe check and the batched
 evaluation), best of five warm runs each.
 """
@@ -97,12 +98,12 @@ def bench_jc_sweep(repeats=5):
 
 def main():
     rows = [
-        ("ascent 2x6", bench_ascent()),
+        ("newton ascent 2x6", bench_ascent()),
         ("sdp solve d_s=2", bench_sdp(2)),
         ("sdp solve d_s=3", bench_sdp(3)),
         ("sdp solve d_s=4", bench_sdp(4)),
-        ("optimize 3x3, default", bench_optimize(False)),
-        ("optimize 3x3, restarts only", bench_optimize(True)),
+        ("optimize 3x3, rounded + newton polish", bench_optimize(False)),
+        ("optimize 3x3, 32 newton restarts", bench_optimize(True)),
         ("jc sweep 2000", bench_jc_sweep()),
     ]
     width = max(len(r[0]) for r in rows)

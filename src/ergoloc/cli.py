@@ -18,6 +18,7 @@ Every command is deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -493,7 +494,9 @@ def cmd_selftest(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verb tree, built once per process; each parse returns a new Namespace."""
     ap = argparse.ArgumentParser(
         prog="ergoloc",
         description="Work extraction from coupled bipartite quantum systems.",

@@ -8,12 +8,14 @@ with rho_E^(i) = Tr_S[(s^i x I) rho] and V_E^(k) = Tr_S[(s^k x I) V]: in
 Bloch form the objective is Tr[O_U M - M] over the orthogonal images O_U.
 For a qubit S the image set is all of SO(3) and a polar decomposition gives
 the exact optimum; for d_S >= 3 the same expression over SO(d_S^2-1) is an
-upper bound and the optimum is found by gradient ascent on the d_S^2-square
-cost operator that sdp.choi_cost builds from M and Tr[H rho], so M is the
-only reduction of (rho, H) in the package.  Every optimization solves the
-unital relaxation on that operator first; the ascent starts from the
-unitary read off its optimum and stops there when the result meets the
-relaxation's certified bound; otherwise it runs seeded restarts.
+upper bound and the optimum is found by a Riemannian Newton ascent
+(kernels.ascent_kernel) on the d_S^2-square cost operator that
+sdp.choi_cost builds from M and Tr[H rho], so M is the only reduction of
+(rho, H) in the package.  Every optimization solves the unital relaxation
+on that operator first; the ascent polishes the unitary read off its
+optimum, typically in one or two Newton steps, and stops there when the
+result meets the relaxation's certified bound; otherwise it runs seeded
+restarts.
 """
 
 from __future__ import annotations
@@ -69,10 +71,12 @@ def build_m_matrix(system) -> MMatrix:
     bs = gpo_basis(system.d_s)
     r = bloch_vector(system.rho_s(), bs)
     h = bloch_vector(system.h_s, bs) / 2.0
-    # rho_E^(i) and V_E^(k), both d_e-square
-    rho_e_i = s_partial_traces(system.rho, bs, system.d_e)
-    v_e_k = s_partial_traces(system.v, bs, system.d_e)
-    cross = 0.5 * np.einsum("ief,kfe->ik", rho_e_i, v_e_k)
+    # rho_E^(i) and V_E^(k), both d_e-square; each V_E^(k) is Hermitian, so
+    # Tr[rho_E^(i) V_E^(k)] is one GEMM against the conjugated stack
+    k = len(bs)
+    rho_e_i = s_partial_traces(system.rho, bs, system.d_e).reshape(k, -1)
+    v_e_k = s_partial_traces(system.v, bs, system.d_e).reshape(k, -1)
+    cross = 0.5 * (rho_e_i @ v_e_k.conj().T)
     m = -(np.outer(r, h) + cross)
     if np.max(np.abs(m.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("M must be real for Hermitian inputs")
@@ -174,7 +178,7 @@ def polar_upper_bound(mm: MMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradient ascent over local unitaries
+# Newton ascent over local unitaries
 
 
 def _round_relaxation(e: np.ndarray, d: int) -> np.ndarray:
@@ -197,7 +201,7 @@ def optimize_local_unitary(
     on it at sdp.DEFAULT_TOL; relaxation, when given, hands over that work as
     (ChoiCost, SdpSolution, tol), with SdpSolution None when the solve
     failed.  The optimum E is rounded to a unitary and polished by one
-    ascent, returned as certified, with no restart, when the polish
+    Newton ascent, returned as certified, with no restart, when the polish
     converged and its value is at least B - 10 tol: B = Tr[H rho] -
     sol.dual_value is the bound certified by the solver's dual point, and
     tol the largest duality gap it stops at.

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ergoloc import ergotropy, gpo, local, models, qmat, sdp
+from ergoloc.kernels import _value_and_gradient
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -266,6 +267,62 @@ def admm_oracle(c, d, tol, max_iter):
             if abs(pobj - dual) <= 10.0 * tol:
                 return z, pobj, rp, rd, it + 1, dual
     return z, np.sum(c * z.T).real, rp, rd, it + 1, _dual_value(c, y, mu, d)
+
+
+# ---------------------------------------------------------------------------
+# first-order geodesic ascent: the oracle for the Newton kernels.ascent_kernel
+
+# Armijo constant, step growth after an accepted step, step shrink per
+# rejected trial, trials before declaring a stall
+C1 = 1e-4
+GROW = 1.3
+SHRINK = 0.5
+MAX_BACKTRACKS = 60
+# steps between QR re-unitarizations, which stop drift from accumulated products
+REUNITARIZE_EVERY = 256
+
+
+def first_order_ascent(c, e0, u0, max_iter, gtol):
+    """Maximise W(U) = e0 - vec(U)† C vec(U) over U in U(d_S), from u0.
+
+    Geodesic steepest ascent: the update is U <- expm(i eta S) U with S the
+    Riemannian gradient, and dW/deta at 0 equals 2 ||S||_F^2, which drives
+    the Armijo test.  e0 is Tr[H rho].
+
+    Returns (U, value, grad_norm, iterations, status) with status 0 when the
+    gradient tolerance was reached, 1 when the line search stalled at
+    numerical precision, 2 at the iteration cap.
+    """
+    u = np.array(u0, dtype=np.complex128)
+    step = 1.0
+    status = 2
+    it = 0
+    for it in range(max_iter):
+        wval, grad, gnorm = _value_and_gradient(c, e0, u)
+        if gnorm <= gtol:
+            status = 0
+            break
+        wg, vg = np.linalg.eigh(grad)
+        slope = 2.0 * gnorm * gnorm
+        eta = step
+        for _ in range(MAX_BACKTRACKS):
+            unew = ((vg * np.exp(1j * eta * wg)) @ vg.conj().T) @ u
+            x = unew.T.ravel()
+            if e0 - np.vdot(x, c @ x).real >= wval + C1 * eta * slope:
+                u = unew
+                step = eta * GROW
+                break
+            eta *= SHRINK
+        else:
+            status = 1
+            break
+        if (it + 1) % REUNITARIZE_EVERY == 0:
+            qq, rr = np.linalg.qr(u)
+            diag = np.diagonal(rr)
+            u = qq * (diag / np.abs(diag))
+    # final consistent evaluation at the returned point
+    wval, _, gnorm = _value_and_gradient(c, e0, u)
+    return u, wval, gnorm, it + 1, status
 
 
 def choi_matrix(kraus):

@@ -236,6 +236,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # the verb tree is built once per process, and every call parses into a
+    # fresh namespace: an option given once does not carry over, and an
+    # argparse error leaves the next call unaffected
+    assert cli.build_parser() is cli.build_parser()
+    system = random_system(2, 2, np.random.default_rng(4))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    argv = ["local", "--state", state_f, "--hs", hs_f, "--v", v_f,
+            "--ds", "2", "--de", "2", "--method", "closed"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "7")
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["seed"] == 0
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--ds", "two"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
 def test_local_closed_requires_qubit(tmp_path, capsys):
     rng = np.random.default_rng(1)
     system = random_system(3, 2, rng)

@@ -1,10 +1,11 @@
 """The solvers on the reduced cost operator C: the ascent's value matches the
-dense functional, and degenerate instances give the trivial answer."""
+dense functional, the Newton ascent is never worse than the first-order
+oracle, and degenerate instances give the trivial answer."""
 
 import numpy as np
 
-from ergoloc import kernels, local, qmat
-from helpers import cost_from_m, random_system
+from ergoloc import kernels, local, qmat, sdp
+from helpers import cost_from_m, first_order_ascent, random_system
 
 
 def _reduced(system):
@@ -53,3 +54,37 @@ def test_ascent_unitarity_preserved():
     c, e0 = _reduced(system)
     u, *_ = kernels.ascent_kernel(c, e0, qmat.haar_unitary(3, rng), 3000, 1e-9)
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
+
+
+def test_newton_ascent_matches_the_first_order_oracle():
+    # from the same seeded Haar starts, the best Newton value is never below
+    # the first-order oracle's, and every start returns a unitary whose dense
+    # functional is the value reported
+    rng = np.random.default_rng(17)
+    for d_s in range(2, 7):
+        system = random_system(d_s, int(rng.integers(2, 4)), rng)
+        c, e0 = _reduced(system)
+        newton, oracle = [], []
+        for _ in range(4):
+            u0 = qmat.haar_unitary(d_s, rng)
+            u, val, *_ = kernels.ascent_kernel(c, e0, u0, 5000, 1e-9)
+            assert abs(val - local.local_objective(system, u)) <= 1e-12
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d_s))) < 1e-10
+            newton.append(val)
+            oracle.append(first_order_ascent(c, e0, u0, 5000, 1e-9)[1])
+        assert max(newton) >= max(oracle) - 1e-12
+
+
+def test_polish_of_the_rounded_relaxation_reaches_the_tolerance():
+    # on the shapes of the benchmark's small local workload the Newton polish
+    # ends at the gradient tolerance (status 0), not in a line-search stall
+    rng = np.random.default_rng(23)
+    shapes = [(2, d_e) for d_e in range(2, 7)] + [(3, d_e) for d_e in range(2, 5)]
+    for d_s, d_e in shapes * 2:
+        cost = cost_from_m(random_system(d_s, d_e, rng))
+        _, sol = sdp.sdp_upper_bound(cost, cost.energy)
+        u0 = local._round_relaxation(sol.e, d_s)
+        u, _, gnorm, _, status = kernels.ascent_kernel(cost.c, cost.energy, u0, 5000, 1e-9)
+        assert status == 0
+        assert gnorm <= 1e-9
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d_s))) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergoloc import local, qmat, sdp
+from ergoloc import kernels, local, qmat, sdp
 from helpers import (
     admm_oracle,
     apply_channel_local,
@@ -214,6 +214,42 @@ def test_capped_solve_with_small_residuals_raises_on_the_gap():
     assert sol.iterations == 5
     assert max(sol.primal_residual, sol.dual_residual) <= tol
     assert sol.objective - sol.dual_value > tol
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2])
+def test_capped_solve_far_from_tol_still_certifies_its_bound(max_iterations):
+    # the dual bound is evaluated only once the residuals are within tol, or
+    # at the cap: a solve capped after one or two steps carries a dual_value
+    # whose bound e0 - dual_value covers the attained optimum
+    rng = np.random.default_rng(31)
+    for d_s in (2, 3):
+        system = random_system(d_s, 3, rng)
+        cost = cost_from_m(system)
+        with pytest.raises(sdp.NonConvergenceError) as err:
+            sdp.sdp_upper_bound(cost, cost.energy, max_iterations=max_iterations)
+        sol = err.value.solution
+        assert sol.iterations == max_iterations
+        attained = local.local_objective(
+            system, local.optimize_local_unitary(system).optimal_unitary
+        )
+        assert cost.energy - sol.dual_value >= attained - 1e-12
+
+
+def test_breakdown_still_returns_a_certified_dual(monkeypatch):
+    # a factorization failure stops the solve before its stop test; the
+    # returned dual_value is still evaluated at the last dual iterate
+    system = random_system(3, 2, np.random.default_rng(32))
+    cost = cost_from_m(system)
+    attained = local.optimize_local_unitary(system).value
+
+    def broken(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", broken)
+    _, _, _, _, iters, dual = kernels.admm_kernel(cost.c, 3, sdp.DEFAULT_TOL, 100)
+    assert iters == 0
+    assert np.isfinite(dual)
+    assert cost.energy - dual >= attained - 1e-12
 
 
 @pytest.mark.parametrize("d_s", [2, 3, 4])
