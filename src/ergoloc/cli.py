@@ -3,15 +3,18 @@
 Verbs: global, local, jc, xxz, export-sdp, selftest.  Matrices travel as the
 JSON format documented in qmat.  Angles accept a "pi" suffix (0.4pi); sweeps
 are start:stop:steps with the same suffix rules.  Exit codes: 0 success,
-2 input error, 3 numerical non-convergence.  Every local optimization
-rounds the unital relaxation first and runs its restarts only when the
-rounded value is not certified; local --method all solves the relaxation
-once and hands it, or its failure, to the optimizer.  The jc
-sweep evaluates every phase at once from three reductions and checks itself
-against the per-point pipeline at one probe phase (exit 3 on a mismatch).
-xxz computes each row from the N amplitudes of the plane wave, with no 2^N
-object, up to 62 sites; up to models.XXZ_MAX_SITES it also checks its first
-row against the dense per-k pipeline (exit 3 on a mismatch).
+2 input error, 3 numerical non-convergence or a failed run-time check.
+Every local optimization rounds the unital relaxation first and runs its
+restarts only when the rounded value is not certified; local --method all
+solves the relaxation once and hands it, or its failure, to the optimizer.
+jc and xxz share one qubit-row path: each stacks its reductions (M, rho_S,
+delta_off) and _qubit_columns evaluates them at once, with the branch
+formula on M and one eigvalsh over rho_S, whose trace and positivity it
+checks.  jc reads its stacks off three anchor phases; xxz reads one
+reduction per k from the N amplitudes of the plane wave, with no 2^N
+object, up to 62 sites.  Both compare one row with the dense per-point
+pipeline before writing (_check_probe): jc at phase 1.0, xxz at its first
+k up to models.XXZ_MAX_SITES.  A failed check exits 3.
 Every command is deterministic for a fixed --seed.
 """
 
@@ -33,6 +36,10 @@ EXIT_NUMERIC = 3
 
 class InputError(Exception):
     pass
+
+
+class NumericError(Exception):
+    """A run-time check of a result failed; main exits 3."""
 
 
 def _parse_angle(text: str) -> float:
@@ -104,6 +111,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _emit_csv(cols, rows, out_path: str | None) -> None:
+    """Header plus one line per row: None is an empty cell, a number goes
+    through _fmt, which prints a small int as it is."""
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join("" if x is None else _fmt(x) for x in row))
+    _emit("\n".join(lines) + "\n", out_path)
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -143,12 +159,15 @@ def cmd_local(args) -> int:
     method = args.method
     if method == "closed" and args.ds != 2:
         raise InputError("method 'closed' requires --ds 2")
-    cfg = local.OptimizerConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.gtol,
-        seed=args.seed,
-    )
+    try:
+        cfg = local.OptimizerConfig(
+            restarts=args.restarts,
+            max_iterations=args.max_iterations,
+            gradient_tolerance=args.gtol,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     values: dict[str, float] = {}
     details: dict[str, dict] = {}
     mm = None if method == "optimize" else local.build_m_matrix(system)
@@ -221,8 +240,40 @@ _JC_PROBE = 1.0
 _PROBE_TOL = 1e-12
 
 
-class _ProbeMismatch(Exception):
-    pass
+def _qubit_columns(m, rho_s, d_off, h_s):
+    """(local value, switch_off, delta_off) of n stacked qubit reductions.
+
+    m is (n, 3, 3), rho_s (n, 2, 2) and d_off (n,).  The local value is the
+    stacked branch formula on M; the switch-off work is the ergotropy of
+    rho_S under h_s, from one eigvalsh over the stack, less delta_off.  Each
+    rho_S must have unit trace and no eigenvalue below -1e-10.
+    """
+    value = local._branch_value(m)[0]
+    pops = np.linalg.eigvalsh(rho_s)  # ascending
+    bad = (np.abs(pops.sum(axis=-1) - 1.0) > 1e-10) | (pops[:, 0] < -1e-10)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericError(f"reduced state {i} is not a density matrix: eigenvalues {pops[i]}")
+    # free stage: Tr[rho_S h_s] minus the passive energy, populations descending
+    energy = np.einsum("nab,ba->n", rho_s, h_s).real
+    free = energy - pops[:, ::-1] @ np.linalg.eigvalsh(h_s)
+    return value, free - d_off, d_off
+
+
+def _check_probe(system, got, where, extra=()) -> None:
+    """Compare got = (local value, switch_off, delta_off), and each extra
+    (name, got, ref), with the dense per-point pipeline on system."""
+    ref = (
+        local.qubit_local_ergotropy(local.build_m_matrix(system)).value,
+        ergotropy.switch_off_ergotropy(system),
+        ergotropy.delta_off(system),
+    )
+    for name, g, r in (*zip(("local value", "switch_off", "delta_off"), got, ref), *extra):
+        if abs(g - r) > _PROBE_TOL * max(1.0, abs(r)):
+            raise NumericError(
+                f"{name} {g!r} differs from the dense per-point pipeline {r!r} "
+                f"at the probe {where}"
+            )
 
 
 def _jc_rows(p, phis, alpha, n, dynamical) -> np.ndarray:
@@ -231,11 +282,9 @@ def _jc_rows(p, phis, alpha, n, dynamical) -> np.ndarray:
     For the real dressed pair, rho(phase) = A + cos(phase) B + sin(phase) D,
     and M, delta_off and rho_S are linear in rho.  Three reductions at the
     anchor phases 0, pi/2 and pi therefore fix all three at every phase:
-    X_A = (X_0 + X_pi)/2, X_B = (X_0 - X_pi)/2, X_D = X_{pi/2} - X_A.  The
-    local value follows from one stacked branch formula on M, the free
-    stage of the switch-off work from one eigvalsh over the stacked rho_S.
-    Before returning, the columns are compared with the per-point pipeline
-    at the probe phase; a mismatch raises _ProbeMismatch.
+    X_A = (X_0 + X_pi)/2, X_B = (X_0 - X_pi)/2, X_D = X_{pi/2} - X_A.
+    _qubit_columns evaluates the stacks.  Before returning, the columns are
+    compared with the per-point pipeline at the probe phase.
     """
     phases = phis
     if dynamical and p.rabi != 0:
@@ -252,91 +301,61 @@ def _jc_rows(p, phis, alpha, n, dynamical) -> np.ndarray:
     for x0, x1, x2 in zip(*anchors):
         x_a = (x0 + x2) / 2
         coeffs.append((x_a, (x0 - x2) / 2, x1 - x_a))
-    h_s = system.h_s
-    eps = np.linalg.eigvalsh(h_s)  # ascending
 
     def columns(ph):
         cos, sin = np.cos(ph), np.sin(ph)
         m, d_off, rho_s = (
             a + np.multiply.outer(cos, b) + np.multiply.outer(sin, d) for a, b, d in coeffs
         )
-        value = local._branch_value(m)[0]
-        # free stage: Tr[rho_S h_s] minus the passive energy, populations descending
-        energy = np.einsum("nab,ba->n", rho_s, h_s).real
-        free = energy - np.linalg.eigvalsh(rho_s)[:, ::-1] @ eps
-        return value, free - d_off, d_off
+        return _qubit_columns(m, rho_s, d_off, system.h_s)
 
     probe = models.jc_bipartite(p, models.jc_phase_family_state(p, n, alpha, _JC_PROBE))
-    ref = (
-        local.qubit_local_ergotropy(local.build_m_matrix(probe)).value,
-        ergotropy.switch_off_ergotropy(probe),
-        ergotropy.delta_off(probe),
-    )
     got = [float(col[0]) for col in columns(np.array([_JC_PROBE]))]
-    for name, g, r in zip(("local_ergotropy", "switch_off", "delta_off"), got, ref):
-        if abs(g - r) > _PROBE_TOL * max(1.0, abs(r)):
-            raise _ProbeMismatch(
-                f"batched {name} {g!r} differs from the per-point pipeline {r!r} "
-                f"at the probe phase {_JC_PROBE}"
-            )
+    _check_probe(probe, got, f"phase {_JC_PROBE}")
     return np.column_stack((phis, *columns(phases)))
 
 
 def cmd_jc(args) -> int:
     n_max = args.n_max if args.n_max is not None else args.n + 5
-    if n_max < args.n + 2:
-        raise InputError("n-max must be at least n + 2 to hold |n,+->")
     try:
         p = models.JcParams(args.omega_s, args.omega_e, args.rabi, n_max)
+        models.jc_dressed_state(p, args.n, +1)  # refuses a level the cutoff cannot hold
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     alpha = _parse_angle(args.alpha)
     phis = _parse_sweep(args.sweep_phi)
-    try:
-        rows = _jc_rows(p, phis, alpha, args.n, args.dynamical_phase)
-    except _ProbeMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    lines = ["phi,local_ergotropy,switch_off,delta_off"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = _jc_rows(p, phis, alpha, args.n, args.dynamical_phase)
+    _emit_csv(["phi", "local_ergotropy", "switch_off", "delta_off"], rows, args.output)
     return EXIT_OK
+
+
+_XXZ_COLS = ["k", "energy", "delta_off", "switch_off", "local_analytic", "local_numeric",
+             "bethe_residual", "analytic_numeric_gap"]
 
 
 def _xxz_rows(p, ks):
     """One table row per momentum k, each from the N amplitudes of |phi_k>.
 
     models.xxz_plane_wave_reduction gives rho_S, M, Tr[rho V] and the Bethe
-    residual with no 2^N object; the local value follows from the branch
-    formula on M and the switch-off work from the ergotropy of rho_S under
-    h_s = eps sigma_z, less delta_off = -Tr[rho V].  When the ring is small
-    enough for the dense oracle (N <= XXZ_MAX_SITES), the first row is
-    compared with the dense per-k pipeline before returning; a mismatch
-    raises _ProbeMismatch.
+    residual with no 2^N object; _qubit_columns evaluates the stacked
+    reductions under h_s = eps sigma_z, with delta_off = -Tr[rho V].  When
+    the ring is small enough for the dense oracle (N <= XXZ_MAX_SITES), the
+    first row is compared with the dense per-k pipeline before returning.
     """
+    rho_s, m, tr_rho_v, residuals = zip(*(models.xxz_plane_wave_reduction(p, k) for k in ks))
     h_s = p.epsilon * np.diag([1.0, -1.0]).astype(complex)
+    columns = _qubit_columns(np.array(m), np.array(rho_s), -np.array(tr_rho_v), h_s)
     rows = []
-    for k in ks:
-        rho_s, m, tr_rho_v, residual = models.xxz_plane_wave_reduction(p, k)
-        d_off = -tr_rho_v
-        numeric = local.qubit_local_ergotropy(local.MMatrix(m, 2)).value
+    for k, residual, numeric, switch_off, d_off in zip(ks, residuals, *columns):
+        numeric = float(numeric)
         try:
             analytic = models.xxz_analytic(p, k).local_ergotropy
             gap = abs(analytic - numeric)
         except models.RegimeError:
-            analytic = None
-            gap = None
-        rows.append({
-            "k": k,
-            "energy": models.xxz_bethe_energy(p, k),
-            "delta_off": d_off,
-            "switch_off": ergotropy.global_ergotropy(rho_s, h_s).value - d_off,
-            "local_analytic": analytic,
-            "local_numeric": numeric,
-            "bethe_residual": residual,
-            "analytic_numeric_gap": gap,
-        })
+            analytic = gap = None
+        energy = models.xxz_bethe_energy(p, k)
+        row = (k, energy, float(d_off), float(switch_off), analytic, numeric, residual, gap)
+        rows.append(dict(zip(_XXZ_COLS, row)))
     if p.n_sites <= models.XXZ_MAX_SITES:
         _xxz_probe(p, rows[0])
     return rows
@@ -349,18 +368,9 @@ def _xxz_probe(p, row) -> None:
     system = models.xxz_bipartite(p, psi)
     # H psi first, so the dense H is freed before the reductions run
     h_psi = system.total_hamiltonian() @ psi
-    ref = {
-        "delta_off": ergotropy.delta_off(system),
-        "switch_off": ergotropy.switch_off_ergotropy(system),
-        "local_numeric": local.qubit_local_ergotropy(local.build_m_matrix(system)).value,
-        "bethe_residual": float(np.linalg.norm(h_psi - models.xxz_bethe_energy(p, k) * psi)),
-    }
-    for name, r in ref.items():
-        if abs(row[name] - r) > _PROBE_TOL * max(1.0, abs(r)):
-            raise _ProbeMismatch(
-                f"plane-wave {name} {row[name]!r} differs from the dense pipeline "
-                f"{r!r} at the probe momentum k={k}"
-            )
+    residual = float(np.linalg.norm(h_psi - models.xxz_bethe_energy(p, k) * psi))
+    _check_probe(system, (row["local_numeric"], row["switch_off"], row["delta_off"]),
+                 f"momentum k={k}", [("bethe_residual", row["bethe_residual"], residual)])
 
 
 def cmd_xxz(args) -> int:
@@ -377,35 +387,14 @@ def cmd_xxz(args) -> int:
         raise InputError("choose --k K or --k-sweep")
     if args.k is not None and args.k_sweep:
         raise InputError("--k and --k-sweep are mutually exclusive")
-    ks = (
-        list(range(-(args.sites // 2) + 1, args.sites // 2 + 1))
-        if args.k_sweep
-        else [args.k]
-    )
-    for k in ks:
-        if not (-(args.sites // 2) < k <= args.sites // 2):
-            raise InputError(f"k={k} out of range for N={args.sites}")
-    try:
-        rows = _xxz_rows(p, ks)
-    except _ProbeMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+    momenta = models.xxz_momenta(p)
+    if not args.k_sweep and args.k not in momenta:
+        raise InputError(f"k={args.k} out of range for N={args.sites}")
+    rows = _xxz_rows(p, list(momenta) if args.k_sweep else [args.k])
     if args.format == "json":
         _emit(_json_dumps({"n_sites": args.sites, "rows": rows}), args.output)
     else:
-        cols = [
-            "k", "energy", "delta_off", "switch_off",
-            "local_analytic", "local_numeric", "bethe_residual",
-            "analytic_numeric_gap",
-        ]
-        lines = [",".join(cols)]
-        for row in rows:
-            cells = []
-            for c in cols:
-                val = row[c]
-                cells.append("" if val is None else (_fmt(val) if c != "k" else str(val)))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit_csv(_XXZ_COLS, [[row[c] for c in _XXZ_COLS] for row in rows], args.output)
     return EXIT_OK
 
 
@@ -578,6 +567,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except NumericError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
     except BrokenPipeError:  # pragma: no cover
         return EXIT_OK
 

@@ -37,6 +37,7 @@ __all__ = [
     "xxz_analytic",
     "xxz_plane_wave",
     "xxz_plane_wave_reduction",
+    "xxz_momenta",
     "XXZ_MAX_SITES",
     "XXZ_PLANE_WAVE_MAX_SITES",
 ]
@@ -143,8 +144,10 @@ def jc_dressed_state(p: JcParams, n: int, sign: int) -> tuple[np.ndarray, float]
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if n < 0:
+        raise ValueError(f"photon level must be >= 0, got {n}")
     if n + 1 > p.n_max:
-        raise ValueError("Fock cutoff too small for the requested level")
+        raise ValueError(f"Fock cutoff {p.n_max} cannot hold |{n + 1}>; it must be >= n + 1")
     d_e = p.n_max + 1
     th = jc_mixing_angle(p, n)
     exc = np.zeros(2, dtype=np.complex128)
@@ -289,8 +292,9 @@ def xxz_bipartite(p: XxzParams, rho_or_psi: np.ndarray) -> BipartiteSystem:
     return BipartiteSystem.build(2, 2 ** (p.n_sites - 1), rho_or_psi, *xxz_system(p))
 
 
-def _k_range(n: int) -> range:
-    return range(-(n // 2) + 1, n // 2 + 1)
+def xxz_momenta(p: XxzParams) -> range:
+    """Integer momenta k in (-N/2, N/2] of the plane-wave table."""
+    return range(-(p.n_sites // 2) + 1, p.n_sites // 2 + 1)
 
 
 def xxz_plane_wave(p: XxzParams, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +305,7 @@ def xxz_plane_wave(p: XxzParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     N^{-1/2} e^{2 pi i k s / N}.
     """
     n = p.n_sites
-    if k not in _k_range(n):
+    if k not in xxz_momenta(p):
         raise ValueError(f"k must lie in ({-(n // 2)}, {n // 2}], got {k}")
     if n > XXZ_PLANE_WAVE_MAX_SITES:
         raise ValueError(
@@ -413,7 +417,7 @@ def xxz_analytic(p: XxzParams, k: int) -> AnalyticTriple:
     pipeline and direct optimization.
     """
     n = p.n_sites
-    if k not in _k_range(n):
+    if k not in xxz_momenta(p):
         raise ValueError(f"k must lie in ({-(n // 2)}, {n // 2}], got {k}")
     q = 2.0 * np.pi * k / n
     cos_q = float(np.cos(q))

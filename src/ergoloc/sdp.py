@@ -169,4 +169,6 @@ def import_instance(path) -> tuple[ChoiCost, float]:
     c = matrix_from_json(payload["cost"])
     if c.shape != (d_s * d_s, d_s * d_s):
         raise ValueError("cost matrix does not match d_s")
-    return ChoiCost(hermitize(c), d_s), float(payload.get("rho_energy", 0.0))
+    if "rho_energy" not in payload:
+        raise ValueError("SDP instance has no rho_energy field")
+    return ChoiCost(hermitize(c), d_s), float(payload["rho_energy"])

@@ -288,6 +288,19 @@ def test_local_rejects_non_finite_input(tmp_path, capsys):
     assert code == 2 and "must be finite" in err
 
 
+def test_local_rejects_invalid_optimizer_options(tmp_path, capsys):
+    system = random_system(2, 2, np.random.default_rng(3))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    args = ["local", "--state", state_f, "--hs", hs_f, "--v", v_f, "--ds", "2", "--de", "2"]
+    for opt, value, word in (
+        ("--restarts", "0", "restarts"), ("--restarts", "-1", "restarts"),
+        ("--gtol", "0", "gradient_tolerance"), ("--gtol", "-0.001", "gradient_tolerance"),
+    ):
+        code, out, err = run_cli(capsys, *args, opt, value)
+        assert (code, out) == (2, "")
+        assert word in err
+
+
 def test_local_no_coupling_equals_free(tmp_path, capsys):
     from ergoloc import ergotropy
 
@@ -445,6 +458,23 @@ def test_jc_rejects_non_finite_input(capsys):
         assert code == 2 and "must be finite" in err
 
 
+def test_jc_photon_level_must_fit_the_cutoff(tmp_path, capsys):
+    # the level n and the cutoff n_max are checked by models.jc_dressed_state,
+    # before the sweep runs: |n,-> needs the Fock states n and n + 1
+    for argv in (["--n", "-1"], ["--n", "-3"], ["--n", "4", "--n-max", "4"]):
+        out_file = tmp_path / "jc.csv"
+        code, out, err = run_cli(capsys, "jc", *argv, "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert not out_file.exists()
+    for n in (1, 3, 10):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["jc", "--n", str(n), "--sweep-phi", "0:4pi:37"]
+        assert run_cli(capsys, *args, "-o", str(a))[0] == 0
+        assert run_cli(capsys, *args, "--n-max", str(n + 1), "-o", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_xxz_rejects_non_finite_input(capsys):
     for arg in ("--epsilon=nan", "--j=inf", "--jz=-inf"):
         code, err = _argparse_exit(capsys, "xxz", "--sites", "6", "--k", "1", arg)
@@ -575,6 +605,42 @@ def test_xxz_probe_rejects_wrong_dense_state(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "probe" in err
     assert not out_file.exists()
+
+
+def test_xxz_rejects_a_reduced_state_that_is_not_a_density_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    # at 16 sites no dense probe runs; the stacked evaluator still checks
+    # the trace and positivity of every rho_S before anything is written
+    true_reduction = models.xxz_plane_wave_reduction
+
+    def doubled(p, k):
+        rho_s, m, tr_rho_v, residual = true_reduction(p, k)
+        return 2 * rho_s, m, tr_rho_v, residual
+
+    monkeypatch.setattr(models, "xxz_plane_wave_reduction", doubled)
+    out_file = tmp_path / "ring.csv"
+    code, out, err = run_cli(capsys, "xxz", "--sites", "16", "--k-sweep", "-o", str(out_file))
+    assert (code, out) == (3, "")
+    assert "density matrix" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("sites", [13, 16, 62])
+def test_xxz_rows_match_the_library_on_each_reduction(sites):
+    # the stacked evaluator against the per-k library calls it replaced
+    p = models.XxzParams(sites, 0.7, 0.13, 0.3)
+    h_s = p.epsilon * np.diag([1.0, -1.0]).astype(complex)
+    ks = list(models.xxz_momenta(p))
+    rows = cli._xxz_rows(p, ks)
+    assert [row["k"] for row in rows] == ks
+    for row in rows:
+        rho_s, m, tr_rho_v, _ = models.xxz_plane_wave_reduction(p, row["k"])
+        numeric = local.qubit_local_ergotropy(local.MMatrix(m, 2)).value
+        switch_off = ergotropy.global_ergotropy(rho_s, h_s).value + tr_rho_v
+        assert abs(row["local_numeric"] - numeric) <= 1e-12
+        assert abs(row["switch_off"] - switch_off) <= 1e-12
+        assert row["delta_off"] == -tr_rho_v
 
 
 def test_xxz_small_ring_reversal_rows(tmp_path, capsys):

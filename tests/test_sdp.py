@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -292,4 +294,16 @@ def test_import_rejects_unknown_constraints(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"d_s": 2, "cost": {"rows":4,"cols":4,"entries":[]}, "constraints": "other"}')
     with pytest.raises(ValueError):
+        sdp.import_instance(path)
+
+
+def test_import_requires_rho_energy(tmp_path):
+    # without Tr[H rho] the bound rho_energy - min Tr[C E] has no reference
+    system = random_system(2, 2, np.random.default_rng(4))
+    path = tmp_path / "instance.json"
+    sdp.export_instance(path, cost_from_m(system), _rho_energy(system))
+    payload = json.loads(path.read_text())
+    del payload["rho_energy"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="rho_energy"):
         sdp.import_instance(path)
