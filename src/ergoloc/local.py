@@ -62,6 +62,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
 

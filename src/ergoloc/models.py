@@ -43,10 +43,8 @@ __all__ = [
 ]
 
 XXZ_MAX_SITES = 12  # dense oracle: 2^N-square operators (xxz_system)
-XXZ_PLANE_WAVE_MAX_SITES = 62  # plane-wave rows: basis indices are int64
+XXZ_PLANE_WAVE_MAX_SITES = 62  # plane-wave rows: xxz_plane_wave's int64 support indices
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |excited><ground|
 
@@ -328,69 +326,38 @@ def xxz_bethe_state(p: XxzParams, k: int) -> np.ndarray:
     return psi
 
 
-def _pauli(n: int, *ops) -> tuple[int, list, complex]:
-    """(flip, bits, phase) of the Pauli string ops = ((site, "x"|"y"|"z"), ...).
-
-    Site s is bit N-s of the index.  The string sends index b to b ^ flip,
-    times phase and times -1 for each of bits set in b: sx flips its bit,
-    sz reads it, and sy = i sx sz does both.
-    """
-    flip, bits, phase = 0, [], 1.0 + 0j
-    for site, axis in ops:
-        if axis != "z":
-            flip |= 1 << (n - site)
-        if axis != "x":
-            bits.append(n - site)
-        if axis == "y":
-            phase *= 1j
-    return flip, bits, phase
-
-
-def _apply(string, idx: np.ndarray, amp: np.ndarray):
-    flip, bits, phase = string
-    parity = sum((idx >> b) & 1 for b in bits) & 1
-    return idx ^ flip, phase * np.where(parity, -amp, amp)
-
-
-def _expect(string, idx: np.ndarray, amp: np.ndarray) -> complex:
-    """<psi|P|psi> for psi on the ascending support idx."""
-    img, val = _apply(string, idx, amp)
-    pos = np.minimum(np.searchsorted(idx, img), len(idx) - 1)
-    hit = idx[pos] == img
-    return complex(np.vdot(amp[pos[hit]], val[hit]))
-
-
 def xxz_plane_wave_reduction(p: XxzParams, k: int):
     """(rho_S, M, Tr[rho V], ||H phi_k - E_k phi_k||) of |phi_k>, from its N
-    amplitudes under the Pauli strings of H and V.
+    amplitudes a_s on the one-flip states |s> (site s up, the others down).
 
-    With r_i = <s_i x I>, c = (-j, -j, -j_z) and P_k = s_k on sites 2 and N,
-    V = sum_k c_k s_k x P_k, so that rho_S = (I + r.s)/2,
-    M_ik = -(r_i h_k + c_k <s_i x P_k>) with h = (0, 0, eps), and
-    Tr[rho V] = sum_k c_k <s_k x P_k>.  H phi_k stays on the one-flip
-    sector; its images are coalesced by index for the Bethe residual.
+    sz_i reads z[i, s] = +1 if i = s and -1 otherwise.  Every other one- or
+    two-site Pauli term moves the flip or leaves the sector.  With
+    c = sum_e conj(a_1) a_e over the neighbours e = 2, N of site 1:
+    <sx_1> = <sy_1> = 0 and <sz_1> = sum_s |a_s|^2 z[1, s];
+    sum_e <sx_1 sx_e> = sum_e <sy_1 sy_e> = 2 Re c;
+    sum_e <sy_1 sx_e> = -sum_e <sx_1 sy_e> = 2 Im c;
+    sum_e <sz_1 sz_e> = sum_s |a_s|^2 z[1, s] (z[2, s] + z[N, s]);
+    and z paired with x or y gives 0.  With r_i = <s_i x I>, h = (0, 0, eps)
+    and coupling (-j, -j, -j_z), rho_S = (I + r_z sz)/2,
+    M_ik = -(r_i h_k + coupling_k sum_e <s_i s_k,e>)
+    and Tr[rho V] is the trace of the cross term.  H keeps the sector:
+    (H a)_s = (eps sum_i z[i, s] - j_z sum_bonds z z) a_s - 2j (a_{s-1} + a_{s+1}),
+    the diagonal summed site by site and bond by bond, not from E_k.
     """
     n = p.n_sites
-    idx, amp = xxz_plane_wave(p, k)
-    terms = [(p.epsilon, _pauli(n, (s, "z"))) for s in range(1, n + 1)]
-    for s in range(1, n + 1):
-        t = s % n + 1
-        terms += [(-c, _pauli(n, (s, a), (t, a))) for c, a in zip((p.j, p.j, p.j_z), "xyz")]
-    images = [_apply(string, idx, c * amp) for c, string in terms]
-    images.append((idx, -xxz_bethe_energy(p, k) * amp))
-    _, inv = np.unique(np.concatenate([i for i, _ in images]), return_inverse=True)
-    hpsi = np.concatenate([a for _, a in images])
-    coalesced = np.bincount(inv, hpsi.real) + 1j * np.bincount(inv, hpsi.imag)
-    residual = float(np.linalg.norm(coalesced))
-    axes = "xyz"
-    r = np.array([_expect(_pauli(n, (1, a)), idx, amp).real for a in axes])
-    coupling = np.array([-p.j, -p.j, -p.j_z])
-    cross = np.array([
-        [sum(_expect(_pauli(n, (1, a), (e, b)), idx, amp).real for e in (2, n)) for b in axes]
-        for a in axes
-    ]) * coupling
+    _, a = xxz_plane_wave(p, k)
+    z = 2.0 * np.eye(n) - 1.0
+    w = np.abs(a) ** 2
+    c = 2.0 * np.conj(a[0]) * (a[1] + a[-1])
+    zz = w @ (z[0] * (z[1] + z[-1]))
+    pairs = np.array([[c.real, -c.imag, 0.0], [c.imag, c.real, 0.0], [0.0, 0.0, zz]])
+    cross = pairs * np.array([-p.j, -p.j, -p.j_z])
+    r = np.array([0.0, 0.0, w @ z[0]])
     m = -(np.outer(r, [0.0, 0.0, p.epsilon]) + cross)
-    rho_s = 0.5 * (np.eye(2) + r[0] * _SX + r[1] * _SY + r[2] * _SZ)
+    rho_s = 0.5 * (np.eye(2) + r[2] * _SZ)
+    diag = p.epsilon * z.sum(axis=0) - p.j_z * (z * np.roll(z, -1, axis=0)).sum(axis=0)
+    h_a = diag * a - 2.0 * p.j * (np.roll(a, 1) + np.roll(a, -1))
+    residual = float(np.linalg.norm(h_a - xxz_bethe_energy(p, k) * a))
     return rho_s, m, float(np.trace(cross)), residual
 
 

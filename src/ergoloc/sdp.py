@@ -115,10 +115,13 @@ def sdp_upper_bound(
     the gap Tr[C E] - dual_value are <= tol.  The bound is rho_energy -
     dual_value, certified at any iterate.  A stop without that rule met, at
     the cap or on breakdown, raises NonConvergenceError carrying the iterate.
-    A d_S above MAX_D_S raises ValueError before anything is allocated.
+    A d_S above MAX_D_S, tol <= 0 or max_iterations < 0 raises ValueError
+    before anything is allocated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     if cost.d_s > MAX_D_S:
         raise ValueError(
             f"the relaxation is solved up to d_S = {MAX_D_S}, got d_S = {cost.d_s}"
@@ -171,4 +174,7 @@ def import_instance(path) -> tuple[ChoiCost, float]:
         raise ValueError("cost matrix does not match d_s")
     if "rho_energy" not in payload:
         raise ValueError("SDP instance has no rho_energy field")
-    return ChoiCost(hermitize(c), d_s), float(payload["rho_energy"])
+    cost, e0 = ChoiCost(hermitize(c), d_s), float(payload["rho_energy"])
+    if abs(e0 - cost.energy) > 1e-12 * max(1.0, abs(e0)):
+        raise ValueError(f"rho_energy {e0!r} differs from the cost's Tr[H rho] {cost.energy!r}")
+    return cost, e0

@@ -713,6 +713,23 @@ def test_export_sdp_nonconvergence_exit_code(tmp_path, capsys):
     assert "converge" in err
 
 
+def test_negative_iteration_caps_exit_2(tmp_path, capsys):
+    system = random_system(2, 2, np.random.default_rng(4))
+    state_f, hs_f, v_f = _write_system(tmp_path, system)
+    args = ["--state", state_f, "--hs", hs_f, "--v", v_f, "--ds", "2", "--de", "2"]
+    code, out, err = run_cli(capsys, "local", *args, "--max-iterations", "-3")
+    assert (code, out) == (2, "")
+    assert "max_iterations" in err
+    export = ["export-sdp", *args, "-o", str(tmp_path / "i.json"), "--solve", "--max-iterations"]
+    code, out, err = run_cli(capsys, *export, "-1")
+    assert (code, out) == (2, "")
+    assert "max_iterations" in err
+    # a cap of 0 is valid: the solve stops at once, unconverged
+    code, _, err = run_cli(capsys, *export, "0")
+    assert code == 3
+    assert "converge" in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
     assert code == 0

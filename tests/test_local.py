@@ -342,6 +342,12 @@ def test_optimizer_config_validation():
         local.OptimizerConfig(restarts=0)
 
 
+def test_optimizer_config_refuses_a_negative_iteration_cap():
+    with pytest.raises(ValueError, match="max_iterations"):
+        local.OptimizerConfig(max_iterations=-1)
+    assert local.OptimizerConfig(max_iterations=0).max_iterations == 0
+
+
 def _relaxation(system, tol=1e-7):
     cost = cost_from_m(system)
     bound, sol = sdp.sdp_upper_bound(cost, cost.energy, tol=tol)

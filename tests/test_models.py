@@ -273,6 +273,18 @@ def test_xxz_plane_wave_is_the_bethe_state():
         assert np.array_equal(psi[idx], amp)
 
 
+@pytest.mark.parametrize("sites", [9, 16, 62])
+def test_plane_wave_residual_reads_an_energy_offset(monkeypatch, sites):
+    # ||H phi_k - (E_k + delta) phi_k|| = delta for a unit eigenvector, so
+    # the residual is computed from H, not from the closed form of E_k
+    delta = 1e-3
+    true_energy = models.xxz_bethe_energy
+    monkeypatch.setattr(models, "xxz_bethe_energy", lambda p, k: true_energy(p, k) + delta)
+    p = models.XxzParams(sites, 0.7, 0.13, 0.3)
+    for k in models.xxz_momenta(p):
+        assert abs(models.xxz_plane_wave_reduction(p, k)[3] - delta) <= 1e-12
+
+
 def test_bethe_states_eigenvectors_and_orthonormal():
     p = models.XxzParams(6, 1.0, 0.1, 0.4)
     ks = list(range(-2, 4))

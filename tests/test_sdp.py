@@ -218,6 +218,16 @@ def test_capped_solve_with_small_residuals_raises_on_the_gap():
     assert sol.objective - sol.dual_value > tol
 
 
+def test_negative_iteration_cap_is_refused():
+    # the interior point stops at the cap only on it == max_iterations
+    cost = cost_from_m(random_system(2, 2, np.random.default_rng(4)))
+    with pytest.raises(ValueError, match="max_iterations"):
+        sdp.sdp_upper_bound(cost, cost.energy, max_iterations=-1)
+    with pytest.raises(sdp.NonConvergenceError) as err:
+        sdp.sdp_upper_bound(cost, cost.energy, max_iterations=0)
+    assert err.value.solution.iterations == 0
+
+
 @pytest.mark.parametrize("max_iterations", [1, 2])
 def test_capped_solve_far_from_tol_still_certifies_its_bound(max_iterations):
     # the dual bound is evaluated only once the residuals are within tol, or
@@ -304,6 +314,20 @@ def test_import_requires_rho_energy(tmp_path):
     sdp.export_instance(path, cost_from_m(system), _rho_energy(system))
     payload = json.loads(path.read_text())
     del payload["rho_energy"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="rho_energy"):
+        sdp.import_instance(path)
+
+
+def test_import_rejects_a_rho_energy_that_disagrees_with_the_cost(tmp_path):
+    # C holds Tr[H rho] as vec(I)^dag C vec(I); a file whose rho_energy was
+    # raised by 1.0 would shift the bound by 1.0
+    system = random_system(2, 2, np.random.default_rng(4))
+    cost = cost_from_m(system)
+    path = tmp_path / "instance.json"
+    sdp.export_instance(path, cost, cost.energy)
+    payload = json.loads(path.read_text())
+    payload["rho_energy"] += 1.0
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="rho_energy"):
         sdp.import_instance(path)
